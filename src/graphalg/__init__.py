@@ -70,9 +70,7 @@ from .algebra import (
     format_element,
     kernel_preimage,
     multiply,
-    normalize,
     square_commutes,
-    star,
     truncate,
 )
 from .resolution import (

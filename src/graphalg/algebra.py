@@ -271,15 +271,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.graph, acc, a.exempt)
 
 
-def star(a: AlgebraElement) -> AlgebraElement:
-    return a.star()
-
-
-def normalize(a: AlgebraElement) -> AlgebraElement:
-    """Idempotent: elements are stored in normal form already."""
-    return AlgebraElement(a.graph, a._terms, a.exempt)
-
-
 def format_element(a: AlgebraElement) -> str:
     if a.is_zero():
         return "0"
@@ -377,21 +368,11 @@ def apply_hom(h: Hom, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(h.codomain, acc)
 
 
-def apply_hom_chain(homs: Iterable[Hom], a: AlgebraElement) -> AlgebraElement:
-    for h in homs:
-        a = apply_hom(h, a)
-    return a
-
-
 def generator_elements(g: Graph, max_index: int) -> list[tuple[str, AlgebraElement]]:
     """Labelled vertex projections and edge isometries, infinite bundles sampled."""
-    gens: list[tuple[str, AlgebraElement]] = []
-    for v in g.vertices:
-        gens.append((f"P({v})", AlgebraElement.projection(g, v)))
+    gens = [(f"P({v})", AlgebraElement.projection(g, v)) for v in g.vertices]
     for b in g.bundles:
-        top = b.mult.finite() - 1 if b.mult.is_finite else max_index
-        for i in range(min(top, max_index) + 1):
-            e = Edge(b.label, i)
+        for e in g.bundle_edges(b, max_index):
             gens.append((f"S({format_path(Path(b.src, (e,)))})", AlgebraElement.isometry(g, Path(b.src, (e,)))))
     return gens
 
@@ -402,7 +383,7 @@ class RelationReport:
     failures: tuple[str, ...] = ()
 
 
-def check_relations_preserved(h: Hom, *, max_len: int = 4, max_index: int = 3) -> RelationReport:
+def check_relations_preserved(h: Hom, *, max_index: int = 3) -> RelationReport:
     """Verify in the codomain that generator images satisfy the defining relations:
     orthogonality of projections, the star-product rule for edge pairs, the
     finite-sum rule at regular non-exempt vertices, and domination of each
@@ -422,10 +403,7 @@ def check_relations_preserved(h: Hom, *, max_len: int = 4, max_index: int = 3) -
             if not (proj[v] * proj[w]).is_zero():
                 failures.append(f"projections P({v}), P({w}) lose orthogonality")
 
-    edges: list[Edge] = []
-    for b in g.bundles:
-        top = b.mult.finite() - 1 if b.mult.is_finite else max_index
-        edges.extend(Edge(b.label, i) for i in range(min(top, max_index) + 1))
+    edges = [e for b in g.bundles for e in g.bundle_edges(b, max_index)]
     try:
         iso = {e: img(AlgebraElement.isometry(g, Path(g.edge_src(e), (e,)))) for e in edges}
     except ValueError as err:
@@ -471,8 +449,8 @@ def square_commutes(
         raise ValueError("square legs end at different graphs")
     failures = []
     for label, gen in generator_elements(down[0].domain, max_index):
-        a = apply_hom_chain(down, gen)
-        b = apply_hom_chain(right, gen)
+        a = apply_hom(down[1], apply_hom(down[0], gen))
+        b = apply_hom(right[1], apply_hom(right[0], gen))
         if a != b:
             failures.append(f"compositions differ on {label}")
     return (not failures, tuple(failures))
@@ -600,16 +578,12 @@ def represent_terms(
     return total
 
 
-def oracle_says_zero(g: Graph, a: AlgebraElement) -> bool:
-    return all(not entry for row in faithful_rep_oracle(g, a) for entry in row)
-
-
 def truncate(g: Graph, max_index: int) -> tuple[Graph, frozenset[str]]:
     """Cut infinite bundles down to max_index + 1 edges and report the vertices
     whose emission was truncated; those must stay exempt from rewriting."""
     from .core import Bundle
 
-    exempt = frozenset(v for v in g.vertices if not g.out_degree(v).is_finite)
+    exempt = default_exempt(g)
     bundles = tuple(
         b if b.mult.is_finite else Bundle(b.label, b.src, b.dst, ExtNat(max_index + 1))
         for b in g.bundles

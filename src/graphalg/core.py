@@ -176,7 +176,7 @@ class Violation:
 class Graph:
     """Immutable presentation of a countable directed multigraph."""
 
-    __slots__ = ("name", "vertices", "bundles", "_vertex_set", "_by_label", "_out", "_in", "_hash")
+    __slots__ = ("name", "vertices", "bundles", "_vertex_set", "_by_label", "_out", "_hash")
 
     def __init__(self, name: str, vertices: Iterable[str], bundles: Iterable[Bundle]):
         self.name = str(name)
@@ -185,16 +185,12 @@ class Graph:
         self._vertex_set = frozenset(self.vertices)
         by_label: dict[str, Bundle] = {}
         out: dict[str, list[Bundle]] = {v: [] for v in self.vertices}
-        into: dict[str, list[Bundle]] = {v: [] for v in self.vertices}
         for b in self.bundles:
             by_label.setdefault(b.label, b)
             if b.src in out:
                 out[b.src].append(b)
-            if b.dst in into:
-                into[b.dst].append(b)
         self._by_label = by_label
         self._out = {v: tuple(sorted(bs, key=lambda b: b.label)) for v, bs in out.items()}
-        self._in = {v: tuple(sorted(bs, key=lambda b: b.label)) for v, bs in into.items()}
         self._hash = hash((self.name, self.vertices, self.bundles))
 
     def __eq__(self, other):
@@ -230,10 +226,6 @@ class Graph:
         self.require_vertex(v)
         return self._out[v]
 
-    def in_bundles(self, v: str) -> tuple[Bundle, ...]:
-        self.require_vertex(v)
-        return self._in[v]
-
     def mult(self, v: str, w: str) -> ExtNat:
         """Entry of the multiplicity matrix: total number of edges v -> w."""
         self.require_vertex(v)
@@ -260,14 +252,14 @@ class Graph:
             return False
         return ExtNat(e.index) < self._by_label[e.bundle].mult
 
+    def bundle_edges(self, b: Bundle, max_index: int) -> list[Edge]:
+        """Concrete edges of bundle b with index <= max_index."""
+        top = b.mult.finite() - 1 if b.mult.is_finite else max_index
+        return [Edge(b.label, i) for i in range(min(top, max_index) + 1)]
+
     def edges_from(self, v: str, max_index: int) -> list[Edge]:
         """Concrete out-edges of v with index <= max_index, in (label, index) order."""
-        edges = []
-        for b in self.out_bundles(v):
-            top = b.mult.finite() - 1 if b.mult.is_finite else max_index
-            for i in range(min(top, max_index) + 1):
-                edges.append(Edge(b.label, i))
-        return edges
+        return [e for b in self.out_bundles(v) for e in self.bundle_edges(b, max_index)]
 
     def is_valid_path(self, p: Path) -> bool:
         if not self.has_vertex(p.base):

@@ -13,10 +13,12 @@ of three rules:
 * `ExtensionRule`: act as a base functor on `E:`-prefixed bundles and as the
   identity on `H:`-prefixed ones; produced by sink-amalgamated pushouts.
 
-`decode` inverts `eval_path` where possible.  For canonical rules the image
-blocks form a prefix-free code, so decoding splits a path into blocks
-"(self-loops)* non-self-loop" and inverts the enumeration blockwise; it
-succeeds exactly on the zero-length and pointed paths of finite block rank.
+`decode` inverts `eval_path` for canonical and extension rules.  For
+canonical rules the image blocks form a prefix-free code, so decoding splits
+a path into blocks "(self-loops)* non-self-loop" and inverts the enumeration
+blockwise; it succeeds exactly on the zero-length and pointed paths of finite
+block rank.  `round_trips` memoises "decodes and evaluates back" per path, so
+every check that needs a preimage shares one decode per distinct path.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class GraphFunctor:
         self.vertex_map = dict(vertex_map)
         self.rule = rule
         self._eval_cache: dict[Edge, Path] = {}
+        self._round_trip_cache: dict[Path, bool] = {}
 
     def __repr__(self):
         return f"GraphFunctor({self.name or '?'}: {self.source.name} -> {self.target.name})"
@@ -152,14 +155,23 @@ class GraphFunctor:
         """The unique source path mapping onto p, or None.
 
         Zero-length paths decode to zero-length paths; longer paths decode
-        when they are pointed and within the functor image.
+        when they are pointed and within the functor image.  Template
+        functors cannot be decoded.
         """
         self.target.require_path(p)
         if isinstance(self.rule, CanonicalRule):
             return self._decode_canonical(p)
         if isinstance(self.rule, ExtensionRule):
             return self._decode_extension(p)
-        return self._decode_template(p)
+        raise TypeError(f"cannot decode through a {type(self.rule).__name__}")
+
+    def round_trips(self, p: Path) -> bool:
+        """Whether p decodes and the decoded path evaluates back to p; memoised."""
+        ok = self._round_trip_cache.get(p)
+        if ok is None:
+            q = self.decode(p)
+            ok = self._round_trip_cache[p] = q is not None and self.eval_path(q) == p
+        return ok
 
     def _vertex_preimages(self, w: str) -> list[str]:
         return [v for v in self.source.vertices if self.vertex_map.get(v) == w]
@@ -232,85 +244,6 @@ class GraphFunctor:
         q = Path(bases[0], tuple(out))
         return q if self.source.is_valid_path(q) else None
 
-    def _decode_template(self, p: Path) -> Path | None:
-        rule = self.rule
-        memo: dict[tuple[str, int], Path | None] = {}
-
-        def match_template(factors, u: str, i: int) -> list[tuple[int, int]]:
-            """(k, consumed) pairs under which the template matches p.edges[i:]."""
-            remaining = len(p.edges) - i
-
-            def check(k: int) -> int | None:
-                pos = i
-                for f in factors:
-                    if f.power:
-                        reps = f.value if f.value is not None else k
-                        for _ in range(reps):
-                            if pos >= len(p.edges) or p.edges[pos] != Edge(f.label, 0):
-                                return None
-                            pos += 1
-                    else:
-                        idx = f.value if f.value is not None else k
-                        if pos >= len(p.edges) or p.edges[pos] != Edge(f.label, idx):
-                            return None
-                        pos += 1
-                return pos - i
-
-            var_index = [n for n, f in enumerate(factors) if not f.power and f.value is None]
-            var_power = [f for f in factors if f.power and f.value is None]
-            results = []
-            if var_index and not var_power:
-                # read k off the first variable-index position
-                offset = 0
-                for f in factors[: var_index[0]]:
-                    offset += (f.value or 0) if f.power else 1
-                if i + offset < len(p.edges) and p.edges[i + offset].bundle == factors[var_index[0]].label:
-                    k = p.edges[i + offset].index
-                    consumed = check(k)
-                    if consumed is not None:
-                        results.append((k, consumed))
-            elif var_power:
-                per_k = sum(1 for f in var_power)
-                fixed = sum((f.value or 0) if f.power else 1 for f in factors if not (f.power and f.value is None))
-                k = 0
-                while fixed + per_k * k <= remaining:
-                    consumed = check(k)
-                    if consumed is not None:
-                        results.append((k, consumed))
-                    k += 1
-            else:
-                consumed = check(0)
-                if consumed is not None:
-                    results.append((0, consumed))
-            return results
-
-        def go(u: str, i: int) -> Path | None:
-            if (u, i) in memo:
-                return memo[(u, i)]
-            result: Path | None = None
-            if i == len(p.edges):
-                result = Path(u)
-            else:
-                for b in self.source.out_bundles(u):
-                    factors = rule.template_for(b.label)
-                    for k, consumed in match_template(factors, u, i):
-                        if not self.source.is_valid_edge(Edge(b.label, k)):
-                            continue
-                        rest = go(b.dst, i + consumed)
-                        if rest is not None:
-                            result = Path(u, (Edge(b.label, k),) + rest.edges)
-                            break
-                    if result is not None:
-                        break
-            memo[(u, i)] = result
-            return result
-
-        for base in self._vertex_preimages(p.base):
-            q = go(base, 0)
-            if q is not None:
-                return q
-        return None
-
     # -- validation ----------------------------------------------------------------
 
     def validate(self, max_index: int = 4) -> list[str]:
@@ -327,7 +260,7 @@ class GraphFunctor:
             return problems
         seen: dict[Path, Edge] = {}
         for b in self.source.bundles:
-            for e in _sample_edges(b, max_index):
+            for e in self.source.bundle_edges(b, max_index):
                 try:
                     image = self.eval_edge(e)
                 except ValueError as err:
@@ -344,11 +277,6 @@ class GraphFunctor:
                     problems.append(f"edges {format_edge_error(seen[image])} and {format_edge_error(e)} share the image {format_path(image)}")
                 seen[image] = e
         return problems
-
-
-def _sample_edges(bundle, max_index: int):
-    top = bundle.mult.finite() - 1 if bundle.mult.is_finite else max_index
-    return [Edge(bundle.label, i) for i in range(min(top, max_index) + 1)]
 
 
 def format_edge_error(e: Edge) -> str:
@@ -422,9 +350,7 @@ def check_functor_conditions(f: GraphFunctor, *, max_len: int, max_index: int) -
             cond2_ok = False
             failures.append(f"cond2: {v} emits finitely many edges but its image {fv} emits infinitely many")
             continue
-        outgoing = []
-        for b in f.source.out_bundles(v):
-            outgoing.extend(Edge(b.label, i) for i in range(b.mult.finite()))
+        outgoing = [Edge(b.label, i) for b in f.source.out_bundles(v) for i in range(b.mult.finite())]
         image_edges = []
         ok = True
         for e in outgoing:
@@ -437,9 +363,7 @@ def check_functor_conditions(f: GraphFunctor, *, max_len: int, max_index: int) -
             image_edges.append(img.edges[0])
         if not ok:
             continue
-        target_edges = []
-        for b in f.target.out_bundles(fv):
-            target_edges.extend(Edge(b.label, i) for i in range(b.mult.finite()))
+        target_edges = [Edge(b.label, i) for b in f.target.out_bundles(fv) for i in range(b.mult.finite())]
         if len(set(image_edges)) != len(image_edges) or set(image_edges) != set(target_edges):
             cond2_ok = False
             failures.append(f"cond2: out-edges of {v} do not biject onto out-edges of {fv}")

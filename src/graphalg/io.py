@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from typing import Callable, Mapping
 
 from . import __version__
@@ -34,7 +35,7 @@ from .functors import (
     TemplateRule,
 )
 from .pushout import ExtensionCertificate, ExtensionChecks
-from .resolution import Bounds, PullbackCertificate, PullbackChecks
+from .resolution import Bounds, PullbackCertificate, PullbackChecks, reverify
 
 
 class ParseError(ValueError):
@@ -295,8 +296,44 @@ def _bounds_to_obj(b: Bounds) -> dict:
     return {"max_len": b.max_len, "max_index": b.max_index}
 
 
+# The certificate readers report a missing or ill-typed key as a ValueError
+# that names it by its dotted path.
+
+
+def _key(obj: Mapping, path: str, kind=object):
+    value = obj
+    for part in path.split("."):
+        if not isinstance(value, Mapping) or part not in value:
+            raise ValueError(f"certificate key {path!r} is missing")
+        value = value[part]
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate key {path!r} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _parse(obj: Mapping, path: str, parse: Callable, optional: bool = False):
+    value = _key(obj, path, (Mapping, type(None)) if optional else Mapping)
+    if value is None:
+        return None
+    try:
+        return parse(value)
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
+        raise ValueError(f"certificate key {path!r} is malformed: {err}") from err
+
+
+def _strings(obj: Mapping, path: str) -> tuple[str, ...]:
+    value = _key(obj, path, list)
+    if not all(isinstance(v, str) for v in value):
+        raise ValueError(f"certificate key {path!r} holds a non-string")
+    return tuple(value)
+
+
+def _checks(obj: Mapping, cls):
+    return cls(**{name: _key(obj, f"checks.{name}", bool) for name in cls.__dataclass_fields__})
+
+
 def _bounds_from_obj(obj: Mapping) -> Bounds:
-    return Bounds(obj["max_len"], obj["max_index"])
+    return Bounds(_key(obj, "bounds.max_len", int), _key(obj, "bounds.max_index", int))
 
 
 def pullback_certificate_to_obj(cert: PullbackCertificate) -> dict:
@@ -323,22 +360,33 @@ def pullback_certificate_to_obj(cert: PullbackCertificate) -> dict:
 
 
 def pullback_certificate_from_obj(obj: Mapping) -> PullbackCertificate:
+    """Read a pullback certificate and re-verify it from its stored E2,
+    vertex set and bounds.  Everything else comes from the recomputation;
+    each stored check that disagrees with it adds a witness, so editing the
+    document cannot make a certificate verified."""
     if obj.get("kind") != "pullback":
         raise ValueError("not a pullback certificate")
-    return PullbackCertificate(
-        e2=graph_from_obj(obj["graphs"]["e2"]),
-        f2_vertices=tuple(obj["f2_vertices"]),
-        e1=graph_from_obj(obj["graphs"]["e1"]),
-        f1=graph_from_obj(obj["graphs"]["f1"]),
-        f2=graph_from_obj(obj["graphs"]["f2"]),
-        functor=functor_from_obj(obj["functor"]),
-        checks=PullbackChecks(**obj["checks"]),
-        witnesses=tuple(obj["witnesses"]),
-        bounds=_bounds_from_obj(obj["bounds"]),
-        unital=obj["flags"]["unital"],
-        e1_af=obj["flags"]["e1_af"],
-        degenerate=obj["flags"]["degenerate"],
+    stored = PullbackCertificate(
+        e2=_parse(obj, "graphs.e2", graph_from_obj),
+        f2_vertices=_strings(obj, "f2_vertices"),
+        e1=_parse(obj, "graphs.e1", graph_from_obj),
+        f1=_parse(obj, "graphs.f1", graph_from_obj),
+        f2=_parse(obj, "graphs.f2", graph_from_obj),
+        functor=_parse(obj, "functor", functor_from_obj),
+        checks=_checks(obj, PullbackChecks),
+        witnesses=_strings(obj, "witnesses"),
+        bounds=_bounds_from_obj(obj),
+        unital=_key(obj, "flags.unital", bool),
+        e1_af=_key(obj, "flags.e1_af", bool),
+        degenerate=_key(obj, "flags.degenerate", bool),
     )
+    fresh = reverify(stored)
+    extra = [
+        f"stored check {name}={value} disagrees with the recomputed {not value}"
+        for name, value in stored.checks.as_dict().items()
+        if value != getattr(fresh.checks, name)
+    ]
+    return replace(fresh, witnesses=fresh.witnesses + tuple(extra))
 
 
 def extension_certificate_to_obj(cert: ExtensionCertificate) -> dict:
@@ -364,16 +412,19 @@ def extension_certificate_to_obj(cert: ExtensionCertificate) -> dict:
 def extension_certificate_from_obj(obj: Mapping) -> ExtensionCertificate:
     if obj.get("kind") != "extension":
         raise ValueError("not an extension certificate")
+    attach = _key(obj, "attach", list)
+    if not all(isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair) for pair in attach):
+        raise ValueError("certificate key 'attach' is not a list of vertex pairs")
     return ExtensionCertificate(
-        base=pullback_certificate_from_obj(obj["base"]),
-        h=graph_from_obj(obj["h"]),
-        attach=tuple((a, b) for a, b in obj["attach"]),
-        glued1=graph_from_obj(obj["glued1"]) if obj["glued1"] else None,
-        glued2=graph_from_obj(obj["glued2"]) if obj["glued2"] else None,
-        psi=functor_from_obj(obj["psi"]) if obj["psi"] else None,
-        checks=ExtensionChecks(**obj["checks"]),
-        witnesses=tuple(obj["witnesses"]),
-        bounds=_bounds_from_obj(obj["bounds"]),
+        base=pullback_certificate_from_obj(_key(obj, "base", Mapping)),
+        h=_parse(obj, "h", graph_from_obj),
+        attach=tuple((a, b) for a, b in attach),
+        glued1=_parse(obj, "glued1", graph_from_obj, optional=True),
+        glued2=_parse(obj, "glued2", graph_from_obj, optional=True),
+        psi=_parse(obj, "psi", functor_from_obj, optional=True),
+        checks=_checks(obj, ExtensionChecks),
+        witnesses=_strings(obj, "witnesses"),
+        bounds=_bounds_from_obj(obj),
     )
 
 
@@ -389,7 +440,7 @@ def certificate_to_json(cert) -> str:
 
 def certificate_from_json(text: str):
     obj = json.loads(text)
-    if obj.get("format") != "graphalg.certificate":
+    if not isinstance(obj, dict) or obj.get("format") != "graphalg.certificate":
         raise ValueError("not a graphalg certificate document")
     if obj.get("kind") == "pullback":
         return pullback_certificate_from_obj(obj)

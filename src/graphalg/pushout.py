@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .core import Bundle, Graph, Path, all_paths, format_path
 from .functors import ExtensionRule, GraphFunctor
-from .resolution import Bounds, DEFAULT_BOUNDS, PullbackCertificate
+from .resolution import Bounds, Checks, DEFAULT_BOUNDS, PullbackCertificate
 
 
 @dataclass(frozen=True)
@@ -148,19 +148,13 @@ def extend_functor(base: PullbackCertificate, d1: AmalgamationData, d2: Amalgama
 
 
 @dataclass(frozen=True)
-class ExtensionChecks:
+class ExtensionChecks(Checks):
     iota_e1_into_sinks: bool = False
     iota_e2_into_sinks: bool = False
     phi_vertex_conditions: bool = False
     phi_paths_into_x_in_image_to_bound: bool = False
     delta_annihilates_x: bool = False
     base_pullback_verified: bool = False
-
-    def as_dict(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def all_true(self) -> bool:
-        return all(self.as_dict().values())
 
 
 @dataclass
@@ -201,12 +195,9 @@ def verify_extension(
     """
     witnesses: list[str] = []
     attach = dict(attach)
-    for hv, ev in attach.items():
-        h.require_vertex(hv)
-        base.e1.require_vertex(ev)
-        base.e2.require_vertex(ev)
-    if len(set(attach.values())) != len(attach):
-        raise ValueError("attach map is not injective")
+    # building both gluing data validates the attach map against H, E1 and E2
+    d1 = amalgamation(base.e1, h, attach)
+    d2 = amalgamation(base.e2, h, attach)
 
     w1 = _non_sink_witness(base.e1, attach.values())
     if w1 is not None:
@@ -231,10 +222,7 @@ def verify_extension(
 
     paths_ok = True
     for p in all_paths(base.e2, max_len=bounds.max_len, max_index=bounds.max_index):
-        if not p.edges or base.e2.path_range(p) not in image:
-            continue
-        q = base.functor.decode(p)
-        if q is None or base.functor.eval_path(q) != p:
+        if p.edges and base.e2.path_range(p) in image and not base.functor.round_trips(p):
             paths_ok = False
             witnesses.append(f"path {format_path(p)} into the attach image is not in the functor image")
 
@@ -249,8 +237,6 @@ def verify_extension(
     glued1 = glued2 = None
     psi = None
     if w1 is None and w2 is None:
-        d1 = amalgamation(base.e1, h, attach)
-        d2 = amalgamation(base.e2, h, attach)
         glued1 = pushout_over_sinks(d1)
         glued2 = pushout_over_sinks(d2)
         psi = extend_functor(base, d1, d2)

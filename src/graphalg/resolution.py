@@ -30,7 +30,6 @@ from .algebra import (
 from .core import (
     Graph,
     Bundle,
-    Edge,
     all_paths,
     format_path,
     is_pointed,
@@ -66,12 +65,6 @@ class Resolution:
     f2: Graph
     functor: GraphFunctor
 
-    def restricted_functor(self) -> GraphFunctor:
-        """The functor between the subgraphs; evaluates identically on shared
-        vertices because admissibility pins their edge neighbourhoods."""
-        vmap = {v: v for v in self.f1.vertices}
-        return GraphFunctor(self.f1, self.f2, vmap, CanonicalRule(), name=f"{self.functor.name}_restricted")
-
 
 def _resolved_graph(e2: Graph) -> Graph:
     bundles = []
@@ -88,13 +81,19 @@ def _resolved_graph(e2: Graph) -> Graph:
     return Graph(f"{e2.name}_res", e2.vertices, bundles)
 
 
-def _subgraph_parts(e2: Graph, f2_vertices) -> tuple[Graph, frozenset[str], AdmissibilityReport]:
+def _build(e2: Graph, f2_vertices) -> tuple[Resolution, AdmissibilityReport, list[Bundle]]:
+    """The resolution of E2 along the subgraph on f2_vertices, with the
+    admissibility report of F2 in E2 and the self-loops based outside F2."""
     members = frozenset(f2_vertices)
     for v in members:
         e2.require_vertex(v)
     f2 = induced_subgraph(e2, members, name=f"{e2.name}_f2")
     report = check_admissible(f2, e2, {v: v for v in f2.vertices})
-    return f2, members, report
+    short = short_loops_at(e2, [v for v in e2.vertices if v not in members])
+    e1 = _resolved_graph(e2)
+    f1 = induced_subgraph(e1, members, name=f"{e1.name}_f1")
+    functor = GraphFunctor(e1, e2, {v: v for v in e2.vertices}, CanonicalRule(), name=f"resolve_{e2.name}")
+    return Resolution(e1, f1, e2, f2, functor), report, short
 
 
 def resolve(e2: Graph, f2_vertices) -> Resolution:
@@ -104,24 +103,44 @@ def resolve(e2: Graph, f2_vertices) -> Resolution:
     outside it; a loopy E1 is a theorem-hypothesis failure, not a
     construction failure, and is left to `verify_pullback` to report.
     """
-    f2, members, report = _subgraph_parts(e2, f2_vertices)
+    res, report, short = _build(e2, f2_vertices)
     if not report.admissible:
         raise ResolveError("admissibility", "; ".join(report.witnesses) or "subgraph is not admissible", report)
-    outside = [v for v in e2.vertices if v not in members]
-    short = short_loops_at(e2, outside)
     if short:
         raise ResolveError("short-loops", f"self-loop {short[0].label} based outside the subgraph at {short[0].src}")
-    e1 = _resolved_graph(e2)
-    f1 = induced_subgraph(e1, members, name=f"{e1.name}_f1")
-    functor = GraphFunctor(e1, e2, {v: v for v in e2.vertices}, CanonicalRule(), name=f"resolve_{e2.name}")
-    return Resolution(e1, f1, e2, f2, functor)
+    return res
+
+
+def _square_maps(sq: Resolution | PullbackCertificate) -> dict[str, object]:
+    """The four maps of the square as engine descriptors.  The restricted
+    functor evaluates like the full one on shared vertices because
+    admissibility pins their edge neighbourhoods."""
+    outside = [v for v in sq.e2.vertices if not sq.f2.has_vertex(v)]
+    vmap = {v: v for v in sq.f1.vertices}
+    restricted = GraphFunctor(sq.f1, sq.f2, vmap, CanonicalRule(), name=f"{sq.functor.name}_restricted")
+    return {
+        "pi1": QuotientHom(sq.e1, outside, target=sq.f1),
+        "pi2": QuotientHom(sq.e2, outside, target=sq.f2),
+        "f_star": InducedHom(sq.functor),
+        "f_restricted_star": InducedHom(restricted),
+    }
 
 
 # -- certificates -------------------------------------------------------------------
 
 
+class Checks:
+    """Named boolean outcomes; a certificate holds when all of them do."""
+
+    def as_dict(self) -> dict[str, bool]:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def all_true(self) -> bool:
+        return all(self.as_dict().values())
+
+
 @dataclass(frozen=True)
-class PullbackChecks:
+class PullbackChecks(Checks):
     f2_admissible: bool = False
     f1_admissible: bool = False
     e1_loop_free: bool = False
@@ -132,12 +151,6 @@ class PullbackChecks:
     image_is_pointed_to_bound: bool = False
     algebra_commutes_to_bound: bool = False
     kernel_inclusion_to_bound: bool = False
-
-    def as_dict(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def all_true(self) -> bool:
-        return all(self.as_dict().values())
 
 
 @dataclass
@@ -171,59 +184,40 @@ class PullbackCertificate:
 
     def homomorphisms(self) -> dict[str, object]:
         """The four maps of the square as engine descriptors."""
-        outside = [v for v in self.e2.vertices if v not in set(self.f2_vertices)]
-        return {
-            "pi1": QuotientHom(self.e1, outside, target=self.f1),
-            "pi2": QuotientHom(self.e2, outside, target=self.f2),
-            "f_star": InducedHom(self.functor),
-            "f_restricted_star": InducedHom(
-                Resolution(self.e1, self.f1, self.e2, self.f2, self.functor).restricted_functor()
-            ),
-        }
+        return _square_maps(self)
 
 
-def _check_image_pointed(functor: GraphFunctor, bounds: Bounds, witnesses: list[str]) -> bool:
-    """Both directions of "the image is the pointed paths", within bounds."""
-    ok = True
-    for b in functor.source.bundles:
-        top = b.mult.finite() - 1 if b.mult.is_finite else bounds.max_index
-        for i in range(min(top, bounds.max_index) + 1):
-            image = functor.eval_edge(Edge(b.label, i))
-            if not is_pointed(functor.target, image):
-                ok = False
-                witnesses.append(f"image of {b.label}[{i}] is not pointed: {format_path(image)}")
-    for p in all_paths(functor.target, max_len=bounds.max_len, max_index=bounds.max_index):
-        if not p.edges or not is_pointed(functor.target, p):
+def _check_preimages(functor: GraphFunctor, members: frozenset[str], bounds: Bounds, witnesses: list[str]) -> tuple[bool, bool]:
+    """Both directions of "the image is the pointed paths", and the kernel
+    inclusion, within bounds, in one pass over the bounded paths of E2.
+
+    Every bounded path that is pointed or ranges outside the subgraph must
+    decode and re-evaluate to itself; for the latter this gives every kernel
+    monomial S_a S_b* the explicit preimage S_{decode(a)} S_{decode(b)}*."""
+    e1, e2 = functor.source, functor.target
+    image_failures: list[str] = []
+    for b in e1.bundles:
+        for e in e1.bundle_edges(b, bounds.max_index):
+            image = functor.eval_edge(e)
+            if not is_pointed(e2, image):
+                image_failures.append(f"image of {b.label}[{e.index}] is not pointed: {format_path(image)}")
+    pointed_failures: list[str] = []
+    kernel_failures: list[str] = []
+    kernel_paths = 0
+    for p in all_paths(e2, max_len=bounds.max_len, max_index=bounds.max_index):
+        pointed = is_pointed(e2, p)
+        in_kernel = e2.path_range(p) not in members
+        kernel_paths += in_kernel
+        if not (pointed or in_kernel) or functor.round_trips(p):
             continue
-        q = functor.decode(p)
-        if q is None or functor.eval_path(q) != p:
-            ok = False
-            witnesses.append(f"pointed path {format_path(p)} is not decodable to a preimage")
-    return ok
-
-
-def _check_kernel_inclusion(
-    functor: GraphFunctor,
-    members: frozenset[str],
-    bounds: Bounds,
-    witnesses: list[str],
-) -> bool:
-    """Every bounded path ranging outside the subgraph decodes and re-evaluates
-    to itself, which gives every kernel monomial S_a S_b* the explicit
-    preimage S_{decode(a)} S_{decode(b)}*."""
-    ok = True
-    checked = 0
-    for p in all_paths(functor.target, max_len=bounds.max_len, max_index=bounds.max_index):
-        if functor.target.path_range(p) in members:
-            continue
-        checked += 1
-        q = functor.decode(p)
-        if q is None or functor.eval_path(q) != p:
-            ok = False
-            witnesses.append(f"kernel path {format_path(p)} has no preimage under the functor")
-    if checked == 0 and ok:
+        if pointed:
+            pointed_failures.append(f"pointed path {format_path(p)} is not decodable to a preimage")
+        if in_kernel:
+            kernel_failures.append(f"kernel path {format_path(p)} has no preimage under the functor")
+    witnesses += image_failures + pointed_failures + kernel_failures
+    if not kernel_paths:
         witnesses.append("kernel inclusion holds vacuously: no bounded path ranges outside the subgraph")
-    return ok
+    return not (image_failures or pointed_failures), not kernel_failures
 
 
 def verify_pullback(e2: Graph, f2_vertices, bounds: Bounds = DEFAULT_BOUNDS) -> PullbackCertificate:
@@ -233,17 +227,12 @@ def verify_pullback(e2: Graph, f2_vertices, bounds: Bounds = DEFAULT_BOUNDS) -> 
     checks and witnesses.
     """
     witnesses: list[str] = []
-    f2, members, report2 = _subgraph_parts(e2, f2_vertices)
+    res, report2, short = _build(e2, f2_vertices)
+    e1, f1, f2, functor = res.e1, res.f1, res.f2, res.functor
+    members = frozenset(f2.vertices)
     witnesses.extend(report2.witnesses)
-
-    outside = [v for v in e2.vertices if v not in members]
-    short = short_loops_at(e2, outside)
     if short:
         witnesses.append(f"short loop {short[0].label} based at {short[0].src} outside the subgraph")
-
-    e1 = _resolved_graph(e2)
-    f1 = induced_subgraph(e1, members, name=f"{e1.name}_f1")
-    functor = GraphFunctor(e1, e2, {v: v for v in e2.vertices}, CanonicalRule(), name=f"resolve_{e2.name}")
 
     report1 = check_admissible(f1, e1, {v: v for v in f1.vertices})
     witnesses.extend(f"resolved graph: {w}" for w in report1.witnesses)
@@ -252,20 +241,25 @@ def verify_pullback(e2: Graph, f2_vertices, bounds: Bounds = DEFAULT_BOUNDS) -> 
     if not e1_loop_free:
         witnesses.append("resolved graph has a cycle")
 
+    vertex_sets_match = (
+        set(e1.vertices) == set(e2.vertices)
+        and set(f1.vertices) == set(f2.vertices)
+        and all(functor.vertex_map.get(v) == v for v in e1.vertices)
+    )
+    if not vertex_sets_match:
+        witnesses.append("the functor is not the identity between the vertex sets of the square")
+
     functor_report = check_functor_conditions(functor, max_len=bounds.max_len, max_index=bounds.max_index)
     witnesses.extend(functor_report.failures)
 
-    image_ok = _check_image_pointed(functor, bounds, witnesses)
-    kernel_ok = _check_kernel_inclusion(functor, members, bounds, witnesses)
+    image_ok, kernel_ok = _check_preimages(functor, members, bounds, witnesses)
 
     commutes_ok = False
     if report2.admissible and report1.admissible:
-        restricted = Resolution(e1, f1, e2, f2, functor).restricted_functor()
-        pi1 = QuotientHom(e1, outside, target=f1)
-        pi2 = QuotientHom(e2, outside, target=f2)
+        maps = _square_maps(res)
         commutes_ok, commute_failures = square_commutes(
-            (pi1, InducedHom(restricted)),
-            (InducedHom(functor), pi2),
+            (maps["pi1"], maps["f_restricted_star"]),
+            (maps["f_star"], maps["pi2"]),
             max_index=bounds.max_index,
         )
         witnesses.extend(commute_failures)
@@ -277,19 +271,19 @@ def verify_pullback(e2: Graph, f2_vertices, bounds: Bounds = DEFAULT_BOUNDS) -> 
         f1_admissible=report1.admissible,
         e1_loop_free=e1_loop_free,
         no_short_loops_outside_f2=not short,
-        vertex_sets_match=True,
+        vertex_sets_match=vertex_sets_match,
         prolongation_reflection_to_bound=functor_report.cond1_ok,
         out_edge_bijection=functor_report.cond2_ok,
         image_is_pointed_to_bound=image_ok,
         algebra_commutes_to_bound=commutes_ok,
         kernel_inclusion_to_bound=kernel_ok,
     )
-    degenerate = not outside
+    degenerate = members.issuperset(e2.vertices)
     if degenerate:
         witnesses.append("degenerate: the subgraph is the whole graph, nothing is resolved")
     return PullbackCertificate(
         e2=e2,
-        f2_vertices=tuple(v for v in e2.vertices if v in members),
+        f2_vertices=f2.vertices,
         e1=e1,
         f1=f1,
         f2=f2,

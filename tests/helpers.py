@@ -13,10 +13,13 @@ from fractions import Fraction
 from graphalg.algebra import AlgebraElement, Monomial
 from graphalg.core import (
     INF,
+    Edge,
     ExtNat,
     Graph,
     Path,
+    all_paths,
     enumerate_paths,
+    format_path,
     is_pointed,
     make_graph,
 )
@@ -44,8 +47,6 @@ def _concrete_edges(g: Graph, v: str):
     out = []
     for b in g.out_bundles(v):
         for i in range(b.mult.finite()):
-            from graphalg.core import Edge
-
             out.append(Edge(b.label, i))
     return out
 
@@ -144,3 +145,56 @@ def random_terms(g: Graph, rng: random.Random, terms: int = 3, max_len: int = 3,
 
 def random_element(g: Graph, rng: random.Random, terms: int = 3, max_len: int = 3, max_index: int = 2) -> AlgebraElement:
     return AlgebraElement(g, random_terms(g, rng, terms, max_len, max_index))
+
+
+# -- the three separate preimage passes that the single round-trip scan replaced --
+
+
+def oracle_image_pointed(functor, bounds, witnesses: list[str]) -> bool:
+    """Both directions of "the image is the pointed paths", within bounds."""
+    ok = True
+    for b in functor.source.bundles:
+        top = b.mult.finite() - 1 if b.mult.is_finite else bounds.max_index
+        for i in range(min(top, bounds.max_index) + 1):
+            image = functor.eval_edge(Edge(b.label, i))
+            if not is_pointed(functor.target, image):
+                ok = False
+                witnesses.append(f"image of {b.label}[{i}] is not pointed: {format_path(image)}")
+    for p in all_paths(functor.target, max_len=bounds.max_len, max_index=bounds.max_index):
+        if not p.edges or not is_pointed(functor.target, p):
+            continue
+        q = functor.decode(p)
+        if q is None or functor.eval_path(q) != p:
+            ok = False
+            witnesses.append(f"pointed path {format_path(p)} is not decodable to a preimage")
+    return ok
+
+
+def oracle_kernel_inclusion(functor, members: frozenset[str], bounds, witnesses: list[str]) -> bool:
+    """Every bounded path ranging outside the subgraph decodes and re-evaluates to itself."""
+    ok = True
+    checked = 0
+    for p in all_paths(functor.target, max_len=bounds.max_len, max_index=bounds.max_index):
+        if functor.target.path_range(p) in members:
+            continue
+        checked += 1
+        q = functor.decode(p)
+        if q is None or functor.eval_path(q) != p:
+            ok = False
+            witnesses.append(f"kernel path {format_path(p)} has no preimage under the functor")
+    if checked == 0 and ok:
+        witnesses.append("kernel inclusion holds vacuously: no bounded path ranges outside the subgraph")
+    return ok
+
+
+def oracle_attach_paths(functor, image: set[str], bounds, witnesses: list[str]) -> bool:
+    """Every bounded path of positive length into the attach image is in the functor image."""
+    ok = True
+    for p in all_paths(functor.target, max_len=bounds.max_len, max_index=bounds.max_index):
+        if not p.edges or functor.target.path_range(p) not in image:
+            continue
+        q = functor.decode(p)
+        if q is None or functor.eval_path(q) != p:
+            ok = False
+            witnesses.append(f"path {format_path(p)} into the attach image is not in the functor image")
+    return ok

@@ -160,11 +160,11 @@ class TestHoms:
 
     def test_relations_preserved_for_resolution(self):
         res = resolve(TOEPLITZ, ["w1"])
-        report = check_relations_preserved(InducedHom(res.functor), max_len=4, max_index=3)
+        report = check_relations_preserved(InducedHom(res.functor), max_index=3)
         assert report.ok, report.failures
 
     def test_relations_preserved_for_quotient(self):
-        report = check_relations_preserved(QuotientHom(TOEPLITZ, ["w2"]), max_len=4, max_index=3)
+        report = check_relations_preserved(QuotientHom(TOEPLITZ, ["w2"]), max_index=3)
         assert report.ok, report.failures
 
     def test_corrupted_functor_fails_relations(self):
@@ -179,7 +179,7 @@ class TestHoms:
             {"v1": "w1", "v2": "w2"},
             TemplateRule((("e", (TemplateFactor("t2", value=0),)),)),
         )
-        report = check_relations_preserved(InducedHom(bad), max_len=3, max_index=2)
+        report = check_relations_preserved(InducedHom(bad), max_index=2)
         assert not report.ok
         assert any("star-product" in f for f in report.failures)
 

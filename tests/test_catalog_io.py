@@ -170,14 +170,15 @@ class TestFunctorFormat:
         with pytest.raises(ParseError):
             parse_functor_text("functor bad: podles -> toeplitz\nmap e[k] -> t2^k t2\n", graphs.__getitem__)
 
-    def test_decode_of_parsed_template(self):
+    def test_template_functors_evaluate_but_do_not_decode(self):
         graphs = {"podles": catalog_get("podles"), "toeplitz": catalog_get("toeplitz")}
         f = parse_functor_text("functor res: podles -> toeplitz\nmap e[k] -> t1^k t2\n", graphs.__getitem__)
         from graphalg.core import Edge, Path
 
         p = Path("w1", (Edge("t1", 0), Edge("t2", 0)))
-        assert f.decode(p) == Path("v1", (Edge("e", 1),))
-        assert f.decode(Path("w1", (Edge("t1", 0),))) is None
+        assert f.eval_edge(Edge("e", 1)) == p
+        with pytest.raises(TypeError):
+            f.decode(p)
 
 
 class TestCertificates:
@@ -188,6 +189,39 @@ class TestCertificates:
         assert loaded.checks == cert.checks
         assert loaded.e1 == cert.e1 and loaded.f2_vertices == cert.f2_vertices
         assert loaded.verified
+
+    def test_forged_checks_are_recomputed_with_witnesses(self):
+        cert = verify_pullback(parse_catalog_spec("rnm:1,1"), ["r1"])
+        obj = json.loads(certificate_to_json(cert))
+        obj["checks"] = {name: True for name in obj["checks"]}
+        loaded = certificate_from_json(json.dumps(obj))
+        assert loaded.checks == cert.checks and not loaded.verified
+        failing = [name for name, ok in cert.checks.as_dict().items() if not ok]
+        assert len(failing) == 5
+        assert loaded.witnesses == cert.witnesses + tuple(
+            f"stored check {name}=True disagrees with the recomputed False" for name in failing
+        )
+
+    def test_malformed_keys_name_the_key(self):
+        cert = verify_pullback(catalog_get("toeplitz"), ["w1"])
+        for edit, key in [
+            (lambda obj: obj["bounds"].update(max_len="6"), "'bounds.max_len'"),
+            (lambda obj: obj["flags"].pop("unital"), "'flags.unital'"),
+            (lambda obj: obj["checks"].update(e1_loop_free=1), "'checks.e1_loop_free'"),
+            (lambda obj: obj["graphs"]["e2"]["bundles"][0].pop("mult"), "'graphs.e2'"),
+        ]:
+            obj = json.loads(certificate_to_json(cert))
+            edit(obj)
+            with pytest.raises(ValueError, match=key):
+                certificate_from_json(json.dumps(obj))
+
+    def test_extension_reader_names_missing_keys(self):
+        base = verify_pullback(catalog_get("wn", 2), ["r0"])
+        ext = verify_extension(base, catalog_get("h_chain", 2), {"h1": "r1"})
+        obj = json.loads(certificate_to_json(ext))
+        del obj["psi"]
+        with pytest.raises(ValueError, match="'psi'"):
+            certificate_from_json(json.dumps(obj))
 
     def test_reverify_reproduces_outcomes(self):
         for spec, members in [("toeplitz", ["w1"]), ("rp2q", ["top"]), ("cuntz:2", ["1"])]:

@@ -141,6 +141,29 @@ class TestPushoutAndExtension:
         assert code == 1
         assert "not a sink" in out
 
+    def _extend_edited_base(self, capsys, tmp_path, edit):
+        # rnm:1,1 over {r1} really fails five checks
+        path = tmp_path / "b.json"
+        run(capsys, "verify-pullback", "--catalog", "rnm:1,1", "--f2", "r1", "--out", str(path))
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return run(capsys, "verify-extension", "--base", str(path), "--h", "h_chain:2", "--attach", "h1=r1")
+
+    def test_certificate_without_functor_is_unusable_input(self, capsys, tmp_path):
+        code, _, err = self._extend_edited_base(capsys, tmp_path, lambda obj: obj.pop("functor"))
+        assert code == 2
+        assert err.startswith("error: cannot load base certificate:") and "'functor'" in err
+
+    def test_forged_checks_are_recomputed(self, capsys, tmp_path):
+        def forge(obj):
+            obj["checks"] = {name: True for name in obj["checks"]}
+            obj["verified"] = True
+
+        code, out, _ = self._extend_edited_base(capsys, tmp_path, forge)
+        assert code == 1
+        assert "[FAIL] base_pullback_verified" in out
+
 
 class TestAlgebraCommand:
     def test_normal_form(self, capsys):
