@@ -80,7 +80,6 @@ from .resolution import (
     Resolution,
     certificate_kernel_preimage,
     resolve,
-    reverify,
     verify_pullback,
 )
 from .pushout import (

@@ -404,8 +404,15 @@ def check_relations_preserved(h: Hom, *, max_index: int = 3) -> RelationReport:
                 failures.append(f"projections P({v}), P({w}) lose orthogonality")
 
     edges = [e for b in g.bundles for e in g.bundle_edges(b, max_index)]
+    exempt = default_exempt(g)
+    regular = [v for v in g.vertices if v not in exempt and g.out_degree(v).is_finite and g.out_degree(v) != 0]
+    # the edge-sum rule needs every edge of a regular vertex, sampled or not
+    emitted = {v: g.edges_from(v, g.out_degree(v).finite()) for v in regular}
     try:
-        iso = {e: img(AlgebraElement.isometry(g, Path(g.edge_src(e), (e,)))) for e in edges}
+        iso = {
+            e: img(AlgebraElement.isometry(g, Path(g.edge_src(e), (e,))))
+            for e in dict.fromkeys(edges + [e for es in emitted.values() for e in es])
+        }
     except ValueError as err:
         return RelationReport(False, (f"edge images undefined: {err}",))
 
@@ -415,16 +422,11 @@ def check_relations_preserved(h: Hom, *, max_index: int = 3) -> RelationReport:
             if iso[e].star() * iso[f] != expected:
                 failures.append(f"star-product rule fails for edges {e}, {f}")
 
-    exempt = default_exempt(g)
-    for v in g.vertices:
-        deg = g.out_degree(v)
-        if v in exempt or not deg.is_finite or deg == 0:
-            continue
+    for v in regular:
         total = AlgebraElement.zero(h.codomain)
-        for b in g.out_bundles(v):
-            for i in range(b.mult.finite()):
-                s = iso[Edge(b.label, i)]
-                total = total + s * s.star()
+        for e in emitted[v]:
+            s = iso[e]
+            total = total + s * s.star()
         if total != proj[v]:
             failures.append(f"edge-sum rule fails at regular vertex {v}")
 

@@ -25,7 +25,7 @@ from .io import (
     serialize_graph,
 )
 from .pushout import SinkConditionError, amalgamation, kernel_descriptor_check, pushout_over_sinks, verify_extension
-from .resolution import Bounds, ResolveError, resolve, verify_pullback
+from .resolution import Bounds, PullbackCertificate, ResolveError, resolve, verify_pullback
 from .subsets import AdmissibilityError, QuotientError, check_admissible, check_quotient_iso, quotient_graph
 
 OK, NEGATIVE, USAGE = 0, 1, 2
@@ -231,6 +231,8 @@ def _cmd_verify_extension(args) -> int:
         base = certificate_from_json(cert_text)
     except (OSError, ValueError) as err:
         raise InputError(f"cannot load base certificate: {err}") from err
+    if not isinstance(base, PullbackCertificate):
+        raise InputError("--base needs a pullback certificate, not an extension certificate")
     h = _load_named_graph(args.h)
     attach = _parse_assignments(args.attach, "attach map")
     try:

@@ -1,4 +1,4 @@
-"""Text formats: graph files, functor files, DOT export, JSON certificates.
+"""Text formats: graph files, DOT export, JSON certificates.
 
 The graph format is line-based, UTF-8, with `#` comments:
 
@@ -9,13 +9,14 @@ The graph format is line-based, UTF-8, with `#` comments:
 where <mult> is a positive decimal integer or `inf`.  Unknown directives are
 errors.  Serialization emits exactly this shape, so parse(serialize(g)) == g.
 
-Functor files describe template functors:
-
-    functor <name>: <source graph> -> <target graph>
-    map <bundle>[k] -> <factor> <factor> ...
-
-with factor grammar `label | label[j] | label^k`; a bare integer j fixes the
-index, the bound variable stands for the source edge index.
+A JSON certificate is read back as its inputs: E2, the vertex set of F2 and
+the bounds for a pullback certificate; the base certificate, H, the attach
+map and the bounds for an extension certificate.  The reader recomputes the
+certificate from them and compares the stored document with the
+recomputation's own: a key it lacks or holds with another JSON type is a
+`ValueError` naming the key, and each value that disagrees adds a witness.
+Nothing else is taken from the document, so editing it cannot make a
+certificate verified.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import __version__
 from .core import Bundle, ExtNat, Graph, Violation, validate_graph
-from .functors import (
-    CanonicalRule,
-    ExtensionRule,
-    GraphFunctor,
-    TemplateFactor,
-    TemplateRule,
-)
-from .pushout import ExtensionCertificate, ExtensionChecks
-from .resolution import Bounds, PullbackCertificate, PullbackChecks, reverify
+from .functors import CanonicalRule, ExtensionRule, GraphFunctor
+from .pushout import ExtensionCertificate, verify_extension
+from .resolution import Bounds, PullbackCertificate, verify_pullback
 
 
 class ParseError(ValueError):
@@ -115,111 +110,6 @@ def export_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- functor files ----------------------------------------------------------------------
-
-
-_FUNCTOR_HEAD = re.compile(r"^functor\s+(\S+):\s*(\S+)\s*->\s*(\S+)$")
-_MAP_LINE = re.compile(r"^map\s+(\S+?)\[([A-Za-z_]\w*)\]\s*->\s*(.+)$")
-_FACTOR = re.compile(r"^(?P<label>[^\[\^]+)(?:\[(?P<index>\w+)\]|\^(?P<power>\w+))?$")
-
-
-def parse_functor_text(text: str, lookup: Callable[[str], Graph]) -> GraphFunctor:
-    """Parse a template functor; `lookup` resolves the graph names of the header."""
-    name = source = target = None
-    templates: list[tuple[str, tuple[TemplateFactor, ...]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = _FUNCTOR_HEAD.match(line)
-        if head:
-            if name is not None:
-                raise ParseError(line_no, "duplicate functor directive")
-            name = head.group(1)
-            source = lookup(head.group(2))
-            target = lookup(head.group(3))
-            continue
-        m = _MAP_LINE.match(line)
-        if not m:
-            raise ParseError(line_no, f"cannot parse line {line!r}")
-        if source is None:
-            raise ParseError(line_no, "map before the functor directive")
-        bundle, variable, body = m.group(1), m.group(2), m.group(3)
-        factors = []
-        for word in body.split():
-            fm = _FACTOR.match(word)
-            if not fm:
-                raise ParseError(line_no, f"bad factor {word!r}")
-            label = fm.group("label")
-            if fm.group("index") is not None:
-                idx = fm.group("index")
-                factors.append(TemplateFactor(label, value=None if idx == variable else _int_or_error(idx, line_no)))
-            elif fm.group("power") is not None:
-                power = fm.group("power")
-                if not target.has_bundle(label) or not target.bundle(label).is_self_loop:
-                    raise ParseError(line_no, f"power factor {word!r} must name a self-loop bundle of the target")
-                factors.append(TemplateFactor(label, power=True, value=None if power == variable else _int_or_error(power, line_no)))
-            else:
-                factors.append(TemplateFactor(label, value=0))
-        templates.append((bundle, tuple(factors)))
-    if source is None or target is None:
-        raise ParseError(1, "missing functor directive")
-    vertex_map = _infer_vertex_map(source, target, templates)
-    return GraphFunctor(source, target, vertex_map, TemplateRule(tuple(templates)), name=name)
-
-
-def _int_or_error(text: str, line_no: int) -> int:
-    if not text.isdigit():
-        raise ParseError(line_no, f"index {text!r} is neither an integer nor the bound variable")
-    return int(text)
-
-
-def _infer_vertex_map(source: Graph, target: Graph, templates) -> dict[str, str]:
-    """Vertex images follow from the template endpoints; leftover vertices
-    must exist verbatim in the target."""
-    functor_probe = GraphFunctor(source, target, {v: v for v in source.vertices}, TemplateRule(tuple(templates)))
-    vmap: dict[str, str] = {}
-
-    def assign(v: str, w: str, line_hint: str) -> None:
-        if vmap.get(v, w) != w:
-            raise ValueError(f"inconsistent vertex images for {v!r}: {vmap[v]!r} vs {w!r} ({line_hint})")
-        vmap[v] = w
-
-    for bundle_label, _factors in templates:
-        sb = source.bundle(bundle_label)
-        # endpoints of the image at k=1 (powers of self-loops do not move them)
-        image = functor_probe._eval_template(sb, 1)
-        if not image.edges:
-            raise ValueError(f"template for {bundle_label!r} is empty")
-        assign(sb.src, target.bundle(image.edges[0].bundle).src, bundle_label)
-        assign(sb.dst, target.bundle(image.edges[-1].bundle).dst, bundle_label)
-    for v in source.vertices:
-        if v not in vmap:
-            if not target.has_vertex(v):
-                raise ValueError(f"vertex {v!r} is not touched by any template and has no target namesake")
-            vmap[v] = v
-    return vmap
-
-
-def serialize_functor(f: GraphFunctor, variable: str = "k") -> str:
-    if not isinstance(f.rule, TemplateRule):
-        raise ValueError("only template functors have a file form")
-    lines = [f"functor {f.name or 'f'}: {f.source.name} -> {f.target.name}"]
-    for bundle, factors in f.rule.templates:
-        words = []
-        for factor in factors:
-            if factor.power:
-                words.append(f"{factor.label}^{variable if factor.value is None else factor.value}")
-            elif factor.value is None:
-                words.append(f"{factor.label}[{variable}]")
-            elif factor.value == 0:
-                words.append(factor.label)
-            else:
-                words.append(f"{factor.label}[{factor.value}]")
-        lines.append(f"map {bundle}[{variable}] -> {' '.join(words)}")
-    return "\n".join(lines) + "\n"
-
-
 # -- JSON certificates ---------------------------------------------------------------------
 
 
@@ -251,14 +141,6 @@ def functor_to_obj(f: GraphFunctor) -> dict:
     }
     if isinstance(f.rule, CanonicalRule):
         obj["rule"] = {"kind": "canonical"}
-    elif isinstance(f.rule, TemplateRule):
-        obj["rule"] = {
-            "kind": "template",
-            "templates": {
-                bundle: [{"label": t.label, "power": t.power, "value": t.value} for t in factors]
-                for bundle, factors in f.rule.templates
-            },
-        }
     elif isinstance(f.rule, ExtensionRule):
         obj["rule"] = {
             "kind": "extension",
@@ -271,69 +153,8 @@ def functor_to_obj(f: GraphFunctor) -> dict:
     return obj
 
 
-def functor_from_obj(obj: Mapping) -> GraphFunctor:
-    source = graph_from_obj(obj["source"])
-    target = graph_from_obj(obj["target"])
-    rule_obj = obj["rule"]
-    kind = rule_obj["kind"]
-    if kind == "canonical":
-        rule = CanonicalRule()
-    elif kind == "template":
-        rule = TemplateRule(
-            tuple(
-                (bundle, tuple(TemplateFactor(t["label"], t["power"], t["value"]) for t in factors))
-                for bundle, factors in rule_obj["templates"].items()
-            )
-        )
-    elif kind == "extension":
-        rule = ExtensionRule(functor_from_obj(rule_obj["base"]), rule_obj["e_prefix"], rule_obj["h_prefix"])
-    else:
-        raise ValueError(f"unknown rule kind {kind!r}")
-    return GraphFunctor(source, target, obj["vertex_map"], rule, name=obj.get("name", ""))
-
-
 def _bounds_to_obj(b: Bounds) -> dict:
     return {"max_len": b.max_len, "max_index": b.max_index}
-
-
-# The certificate readers report a missing or ill-typed key as a ValueError
-# that names it by its dotted path.
-
-
-def _key(obj: Mapping, path: str, kind=object):
-    value = obj
-    for part in path.split("."):
-        if not isinstance(value, Mapping) or part not in value:
-            raise ValueError(f"certificate key {path!r} is missing")
-        value = value[part]
-    if not isinstance(value, kind):
-        raise ValueError(f"certificate key {path!r} has the wrong type {type(value).__name__}")
-    return value
-
-
-def _parse(obj: Mapping, path: str, parse: Callable, optional: bool = False):
-    value = _key(obj, path, (Mapping, type(None)) if optional else Mapping)
-    if value is None:
-        return None
-    try:
-        return parse(value)
-    except (KeyError, TypeError, AttributeError, ValueError) as err:
-        raise ValueError(f"certificate key {path!r} is malformed: {err}") from err
-
-
-def _strings(obj: Mapping, path: str) -> tuple[str, ...]:
-    value = _key(obj, path, list)
-    if not all(isinstance(v, str) for v in value):
-        raise ValueError(f"certificate key {path!r} holds a non-string")
-    return tuple(value)
-
-
-def _checks(obj: Mapping, cls):
-    return cls(**{name: _key(obj, f"checks.{name}", bool) for name in cls.__dataclass_fields__})
-
-
-def _bounds_from_obj(obj: Mapping) -> Bounds:
-    return Bounds(_key(obj, "bounds.max_len", int), _key(obj, "bounds.max_index", int))
 
 
 def pullback_certificate_to_obj(cert: PullbackCertificate) -> dict:
@@ -359,36 +180,6 @@ def pullback_certificate_to_obj(cert: PullbackCertificate) -> dict:
     }
 
 
-def pullback_certificate_from_obj(obj: Mapping) -> PullbackCertificate:
-    """Read a pullback certificate and re-verify it from its stored E2,
-    vertex set and bounds.  Everything else comes from the recomputation;
-    each stored check that disagrees with it adds a witness, so editing the
-    document cannot make a certificate verified."""
-    if obj.get("kind") != "pullback":
-        raise ValueError("not a pullback certificate")
-    stored = PullbackCertificate(
-        e2=_parse(obj, "graphs.e2", graph_from_obj),
-        f2_vertices=_strings(obj, "f2_vertices"),
-        e1=_parse(obj, "graphs.e1", graph_from_obj),
-        f1=_parse(obj, "graphs.f1", graph_from_obj),
-        f2=_parse(obj, "graphs.f2", graph_from_obj),
-        functor=_parse(obj, "functor", functor_from_obj),
-        checks=_checks(obj, PullbackChecks),
-        witnesses=_strings(obj, "witnesses"),
-        bounds=_bounds_from_obj(obj),
-        unital=_key(obj, "flags.unital", bool),
-        e1_af=_key(obj, "flags.e1_af", bool),
-        degenerate=_key(obj, "flags.degenerate", bool),
-    )
-    fresh = reverify(stored)
-    extra = [
-        f"stored check {name}={value} disagrees with the recomputed {not value}"
-        for name, value in stored.checks.as_dict().items()
-        if value != getattr(fresh.checks, name)
-    ]
-    return replace(fresh, witnesses=fresh.witnesses + tuple(extra))
-
-
 def extension_certificate_to_obj(cert: ExtensionCertificate) -> dict:
     return {
         "format": "graphalg.certificate",
@@ -409,23 +200,82 @@ def extension_certificate_to_obj(cert: ExtensionCertificate) -> dict:
     }
 
 
+def _key(obj: Mapping, path: str, kind: type):
+    value = obj
+    for part in path.split("."):
+        if not isinstance(value, Mapping) or part not in value:
+            raise ValueError(f"certificate key {path!r} is missing")
+        value = value[part]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"certificate key {path!r} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _graph(obj: Mapping, path: str) -> Graph:
+    value = _key(obj, path, Mapping)
+    try:
+        return graph_from_obj(value)
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
+        raise ValueError(f"certificate key {path!r} is malformed: {err}") from err
+
+
+def _bounds_from_obj(obj: Mapping) -> Bounds:
+    return Bounds(_key(obj, "bounds.max_len", int), _key(obj, "bounds.max_index", int))
+
+
+def _disagreements(stored: Mapping, fresh: Mapping, prefix: str = "") -> list[str]:
+    """One witness per value of `stored` that differs from the recomputed
+    document `fresh`; a key of `fresh` that `stored` lacks or holds with
+    another type is a ValueError.  A null against a value is a disagreement,
+    not a type error: optional parts are null when they were not built."""
+    witnesses = []
+    for name, want in fresh.items():
+        path = prefix + name
+        if name not in stored:
+            raise ValueError(f"certificate key {path!r} is missing")
+        have = stored[name]
+        if None not in (have, want) and type(have) is not type(want):
+            raise ValueError(f"certificate key {path!r} has the wrong type {type(have).__name__}")
+        if isinstance(want, Mapping) and isinstance(have, Mapping):
+            witnesses += _disagreements(have, want, path + ".")
+        elif have != want:
+            label = "check " + name if prefix == "checks." else path
+            if isinstance(have, (list, Mapping)) or isinstance(want, (list, Mapping)):
+                witnesses.append(f"stored {label} disagrees with the recomputed one")
+            else:
+                witnesses.append(f"stored {label}={have} disagrees with the recomputed {want}")
+    return witnesses
+
+
+def pullback_certificate_from_obj(obj: Mapping) -> PullbackCertificate:
+    """Recompute a pullback certificate from its stored E2, vertex set and
+    bounds; every stored value that disagrees with the recomputation adds a
+    witness, so editing the document cannot make a certificate verified."""
+    if obj.get("kind") != "pullback":
+        raise ValueError("not a pullback certificate")
+    f2_vertices = _key(obj, "f2_vertices", list)
+    if not all(isinstance(v, str) for v in f2_vertices):
+        raise ValueError("certificate key 'f2_vertices' holds a non-string")
+    fresh = verify_pullback(_graph(obj, "graphs.e2"), f2_vertices, _bounds_from_obj(obj))
+    extra = _disagreements(obj, pullback_certificate_to_obj(fresh))
+    return replace(fresh, witnesses=fresh.witnesses + tuple(extra))
+
+
 def extension_certificate_from_obj(obj: Mapping) -> ExtensionCertificate:
+    """Recompute an extension certificate from its base (read by
+    `pullback_certificate_from_obj`), H, attach map and bounds, and compare
+    the rest of the document like the pullback reader does."""
     if obj.get("kind") != "extension":
         raise ValueError("not an extension certificate")
+    base = pullback_certificate_from_obj(_key(obj, "base", Mapping))
     attach = _key(obj, "attach", list)
     if not all(isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair) for pair in attach):
         raise ValueError("certificate key 'attach' is not a list of vertex pairs")
-    return ExtensionCertificate(
-        base=pullback_certificate_from_obj(_key(obj, "base", Mapping)),
-        h=_parse(obj, "h", graph_from_obj),
-        attach=tuple((a, b) for a, b in attach),
-        glued1=_parse(obj, "glued1", graph_from_obj, optional=True),
-        glued2=_parse(obj, "glued2", graph_from_obj, optional=True),
-        psi=_parse(obj, "psi", functor_from_obj, optional=True),
-        checks=_checks(obj, ExtensionChecks),
-        witnesses=_strings(obj, "witnesses"),
-        bounds=_bounds_from_obj(obj),
-    )
+    fresh = verify_extension(base, _graph(obj, "h"), dict(attach), _bounds_from_obj(obj))
+    expected = extension_certificate_to_obj(fresh)
+    del expected["base"]  # compared by the pullback reader
+    extra = _disagreements(obj, expected)
+    return replace(fresh, witnesses=fresh.witnesses + tuple(extra))
 
 
 def certificate_to_json(cert) -> str:

@@ -307,8 +307,3 @@ def certificate_kernel_preimage(cert: PullbackCertificate, m: Monomial) -> Algeb
     if image != expected:
         raise AssertionError(f"preimage of {format_path(m.alpha)}|{format_path(m.beta)} does not re-evaluate to it")
     return pre
-
-
-def reverify(cert: PullbackCertificate) -> PullbackCertificate:
-    """Re-run a certificate's verification from its stored inputs."""
-    return verify_pullback(cert.e2, cert.f2_vertices, cert.bounds)

@@ -167,6 +167,13 @@ class TestHoms:
         report = check_relations_preserved(QuotientHom(TOEPLITZ, ["w2"]), max_index=3)
         assert report.ok, report.failures
 
+    def test_edge_sum_uses_edges_beyond_the_sample(self):
+        # v emits five edges; the edge-sum rule at v needs all of them even
+        # though the other rules sample only indices up to 3
+        g = make_graph("g", ["v", "w"], [("e", "v", "w", 5)])
+        report = check_relations_preserved(InducedHom(identity_functor(g)), max_index=3)
+        assert report.ok, report.failures
+
     def test_corrupted_functor_fails_relations(self):
         # collapse the whole infinite bundle onto the single edge t2: the
         # star-product rule for distinct edges breaks in the image

@@ -10,23 +10,19 @@ from graphalg.catalog import (
     standard_instances,
 )
 from graphalg.core import INF, mult_matrix, same_mult_matrix, validate_graph
-from graphalg.functors import TemplateRule, identity_functor
+from graphalg.functors import GraphFunctor, TemplateFactor, TemplateRule
 from graphalg.io import (
     ParseError,
     certificate_from_json,
     certificate_to_json,
     export_dot,
-    functor_from_obj,
-    functor_to_obj,
     graph_from_obj,
     graph_to_obj,
-    parse_functor_text,
     parse_graph_text,
-    serialize_functor,
     serialize_graph,
 )
 from graphalg.pushout import verify_extension
-from graphalg.resolution import reverify, verify_pullback
+from graphalg.resolution import verify_pullback
 
 
 class TestCatalog:
@@ -144,39 +140,14 @@ class TestDot:
 
 
 class TestFunctorFormat:
-    def test_parse_resolution_style(self):
-        graphs = {"podles": catalog_get("podles"), "toeplitz": catalog_get("toeplitz")}
-        text = "functor res: podles -> toeplitz\nmap e[k] -> t1^k t2\n"
-        f = parse_functor_text(text, graphs.__getitem__)
-        from graphalg.core import Edge, format_path
-
-        assert format_path(f.eval_edge(Edge("e", 2))) == "t1.t1.t2"
-        assert f.vertex_map == {"v1": "w1", "v2": "w2"}
-
-    def test_identity_roundtrip(self):
-        g = catalog_get("rp2q")
-        f = identity_functor(g)
-        text = serialize_functor(f)
-        back = parse_functor_text(text, {"rp2q": g}.__getitem__)
-        assert isinstance(back.rule, TemplateRule)
-        from graphalg.core import Edge
-
-        for b in g.bundles:
-            for i in range(b.mult.finite()):
-                assert back.eval_edge(Edge(b.label, i)) == f.eval_edge(Edge(b.label, i))
-
-    def test_power_factor_requires_self_loop(self):
-        graphs = {"podles": catalog_get("podles"), "toeplitz": catalog_get("toeplitz")}
-        with pytest.raises(ParseError):
-            parse_functor_text("functor bad: podles -> toeplitz\nmap e[k] -> t2^k t2\n", graphs.__getitem__)
-
     def test_template_functors_evaluate_but_do_not_decode(self):
-        graphs = {"podles": catalog_get("podles"), "toeplitz": catalog_get("toeplitz")}
-        f = parse_functor_text("functor res: podles -> toeplitz\nmap e[k] -> t1^k t2\n", graphs.__getitem__)
+        rule = TemplateRule((("e", (TemplateFactor("t1", power=True), TemplateFactor("t2", value=0))),))
+        f = GraphFunctor(catalog_get("podles"), catalog_get("toeplitz"), {"v1": "w1", "v2": "w2"}, rule)
         from graphalg.core import Edge, Path
 
         p = Path("w1", (Edge("t1", 0), Edge("t2", 0)))
         assert f.eval_edge(Edge("e", 1)) == p
+        assert f.eval_edge(Edge("e", 3)) == Path("w1", (Edge("t1", 0),) * 3 + (Edge("t2", 0),))
         with pytest.raises(TypeError):
             f.decode(p)
 
@@ -223,22 +194,36 @@ class TestCertificates:
         with pytest.raises(ValueError, match="'psi'"):
             certificate_from_json(json.dumps(obj))
 
+    def test_forged_extension_checks_are_recomputed(self):
+        base = verify_pullback(catalog_get("rnm", 2, 2), ["r0"])
+        ext = verify_extension(base, catalog_get("h_chain", 2), {"h1": "r0", "h2": "r1"})
+        failing = [name for name, ok in ext.checks.as_dict().items() if not ok]
+        assert len(failing) == 4
+        obj = json.loads(certificate_to_json(ext))
+        obj["checks"] = {name: True for name in obj["checks"]}
+        loaded = certificate_from_json(json.dumps(obj))
+        assert loaded.checks == ext.checks and not loaded.verified and loaded.glued1 is None
+        assert loaded.witnesses == ext.witnesses + tuple(
+            f"stored check {name}=True disagrees with the recomputed False" for name in failing
+        )
+
+    def test_edited_graph_is_recomputed_with_a_witness(self):
+        cert = verify_pullback(catalog_get("toeplitz"), ["w1"])
+        obj = json.loads(certificate_to_json(cert))
+        assert obj["graphs"]["e1"]["bundles"][0]["mult"] == "inf"
+        obj["graphs"]["e1"]["bundles"][0]["mult"] = 3
+        loaded = certificate_from_json(json.dumps(obj))
+        assert loaded.e1 == cert.e1 and loaded.checks == cert.checks and loaded.verified
+        assert loaded.witnesses == cert.witnesses + ("stored graphs.e1.bundles disagrees with the recomputed one",)
+
     def test_reverify_reproduces_outcomes(self):
         for spec, members in [("toeplitz", ["w1"]), ("rp2q", ["top"]), ("cuntz:2", ["1"])]:
             cert = verify_pullback(parse_catalog_spec(spec), members)
             loaded = certificate_from_json(certificate_to_json(cert))
-            again = reverify(loaded)
+            again = verify_pullback(loaded.e2, loaded.f2_vertices, loaded.bounds)
             assert again.checks == cert.checks
             assert again.witnesses == cert.witnesses
             assert again.verified == cert.verified
-
-    def test_functor_obj_roundtrip_canonical(self):
-        cert = verify_pullback(catalog_get("toeplitz"), ["w1"])
-        back = functor_from_obj(functor_to_obj(cert.functor))
-        from graphalg.core import Edge
-
-        for k in range(3):
-            assert back.eval_edge(Edge("w1_w2", k)) == cert.functor.eval_edge(Edge("w1_w2", k))
 
     def test_extension_json_roundtrip(self):
         base = verify_pullback(catalog_get("rnm", 2, 2), ["r0"])

@@ -131,6 +131,18 @@ class TestPushoutAndExtension:
         loaded = certificate_from_json((tmp_path / "ext.json").read_text())
         assert loaded.verified
 
+    def test_extension_certificate_as_base_is_unusable_input(self, capsys, tmp_path):
+        base, ext = tmp_path / "b.json", tmp_path / "e.json"
+        run(capsys, "verify-pullback", "--catalog", "rnm:2,2", "--f2", "r0", "--out", str(base))
+        code, _, _ = run(
+            capsys,
+            "verify-extension", "--base", str(base), "--h", "h_chain:2", "--attach", "h1=r1", "--out", str(ext),
+        )
+        assert code == 0
+        code, _, err = run(capsys, "verify-extension", "--base", str(ext), "--h", "h_chain:2", "--attach", "h1=r1")
+        assert code == 2
+        assert err.startswith("error: ") and "--base needs a pullback certificate" in err
+
     def test_extension_attach_at_source_fails(self, capsys, tmp_path):
         run(capsys, "verify-pullback", "--catalog", "rnm:1,1", "--f2", "r0", "--out", str(tmp_path / "b.json"))
         code, out, _ = run(
