@@ -161,6 +161,11 @@ def catalog_entry(key: str) -> CatalogEntry:
 
 def catalog_get(key: str, *params: int) -> Graph:
     entry = catalog_entry(key)
+    required = [p for p in entry.params if not p.startswith("*")]
+    variadic = len(required) < len(entry.params)
+    if len(params) < len(required) or (len(params) > len(required) and not variadic):
+        expected = f"parameters {','.join(entry.params)}" if entry.params else "no parameters"
+        raise ValueError(f"catalog key {key!r} takes {expected}, got {len(params)}")
     return entry.build(*params)
 
 

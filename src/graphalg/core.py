@@ -146,6 +146,10 @@ class Bundle:
     def is_self_loop(self) -> bool:
         return self.src == self.dst
 
+    def has_index(self, i: int) -> bool:
+        """Whether the bundle has an edge of index i."""
+        return 0 <= i and (not self.mult.is_finite or i < self.mult.finite())
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -248,9 +252,8 @@ class Graph:
         return self.bundle(e.bundle).dst
 
     def is_valid_edge(self, e: Edge) -> bool:
-        if e.bundle not in self._by_label or e.index < 0:
-            return False
-        return ExtNat(e.index) < self._by_label[e.bundle].mult
+        b = self._by_label.get(e.bundle)
+        return b is not None and b.has_index(e.index)
 
     def bundle_edges(self, b: Bundle, max_index: int) -> list[Edge]:
         """Concrete edges of bundle b with index <= max_index."""

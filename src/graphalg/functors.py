@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Edge, ExtNat, Graph, Path, concat, format_path
+from .core import Edge, Graph, Path, concat, format_path
 from .pointed import (
     irreducible_pointed_at,
     irreducible_pointed_rank,
@@ -196,7 +196,7 @@ class GraphFunctor:
             if len(candidates) != 1:
                 return None
             bundle = candidates[0]
-            if not ExtNat(rank.finite()) < bundle.mult:
+            if not bundle.has_index(rank.finite()):
                 return None
             edges.append(Edge(bundle.label, rank.finite()))
             at = ends[0]

@@ -9,25 +9,62 @@ a self-loop.  An irreducible pointed path from v to w therefore has the shape
 The canonical enumeration orders these by (length, lexicographic on
 (label, index)); ranks live in the extended naturals because layers may be
 infinite, in which case later layers are past every finite position.
+
+When both alphabets are finite, ranks are mixed-radix numerals (Knuth,
+TAOCP 4A, 7.2.1).  Layer j holds |links|.|loops|^j paths, so the layers
+before it hold |links|.(1 + |loops| + ... + |loops|^(j-1)) of them; adding
+the lexicographic position of the loop prefix, a base-|loops| numeral of j
+digits, gives the bijective base-|loops| numeral whose digits are the loop
+positions plus one.  A rank is that numeral times |links| plus the position
+of the link, and unranking reads the digits back off with divmod.  Only
+infinite alphabets fall back to enumeration and extended-natural sums.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from .core import INF, Bundle, Edge, ExtNat, Graph, Path
 
 
-def _loop_bundles(g: Graph, v: str) -> tuple[Bundle, ...]:
-    return tuple(b for b in g.out_bundles(v) if b.is_self_loop)
+class _Alphabet:
+    """Edges of some bundles in (label, index) order.  `count` is their
+    number; when it is finite, `size` holds it as an int and `edge_at` and
+    `position` convert between edges and int positions."""
+
+    __slots__ = ("bundles", "count", "size", "_mults")
+
+    def __init__(self, bundles: tuple[Bundle, ...]):
+        self.bundles = bundles
+        self.count = sum((b.mult for b in bundles), ExtNat(0))
+        self.size = self.count.finite() if self.count.is_finite else None
+        self._mults = tuple(b.mult.finite() for b in bundles) if self.size is not None else ()
+
+    def edge_at(self, pos: int) -> Edge:
+        for b, n in zip(self.bundles, self._mults):
+            if pos < n:
+                return Edge(b.label, pos)
+            pos -= n
+        raise ValueError(f"alphabet has only {self.size} edges")
+
+    def position(self, e: Edge) -> int:
+        at = 0
+        for b, n in zip(self.bundles, self._mults):
+            if b.label == e.bundle:
+                return at + e.index
+            at += n
+        raise ValueError(f"edge {e} not in alphabet")
 
 
-def _link_bundles(g: Graph, v: str, w: str) -> tuple[Bundle, ...]:
-    return tuple(b for b in g.out_bundles(v) if b.dst == w and not b.is_self_loop)
-
-
-def _alphabet_size(bundles: tuple[Bundle, ...]) -> ExtNat:
-    return sum((b.mult for b in bundles), ExtNat(0))
+@lru_cache(maxsize=256)
+def _alphabets(g: Graph, v: str, w: str) -> tuple[_Alphabet, _Alphabet]:
+    """The loop alphabet at v and the link alphabet v -> w; memoised per
+    (graph, v, w) in a bounded cache."""
+    out = g.out_bundles(v)
+    loops = tuple(b for b in out if b.is_self_loop)
+    links = tuple(b for b in out if b.dst == w and not b.is_self_loop)
+    return _Alphabet(loops), _Alphabet(links)
 
 
 def _iter_alphabet(bundles: tuple[Bundle, ...]) -> Iterator[Edge]:
@@ -64,11 +101,11 @@ def irreducible_pointed_count(g: Graph, v: str, w: str) -> ExtNat:
     g.require_vertex(w)
     if v == w:
         return ExtNat(0)
-    links = _alphabet_size(_link_bundles(g, v, w))
-    if links == 0:
+    loops, links = _alphabets(g, v, w)
+    if links.count == 0:
         return ExtNat(0)
-    if _alphabet_size(_loop_bundles(g, v)) == 0:
-        return links
+    if loops.count == 0:
+        return links.count
     return INF
 
 
@@ -87,8 +124,7 @@ def iter_irreducible_pointed(g: Graph, v: str, w: str) -> Iterator[Path]:
     With infinite bundles involved this yields exactly the paths of finite
     canonical rank, in rank order.
     """
-    loops = _loop_bundles(g, v)
-    links = _link_bundles(g, v, w)
+    loops, links = (a.bundles for a in _alphabets(g, v, w))
     if not links:
         return
     prefix_len = 0
@@ -105,9 +141,19 @@ def irreducible_pointed_at(g: Graph, v: str, w: str, k: int) -> Path:
     """The k-th irreducible pointed path v -> w in canonical order."""
     if k < 0:
         raise ValueError("rank must be nonnegative")
-    for i, p in enumerate(iter_irreducible_pointed(g, v, w)):
-        if i == k:
-            return p
+    loops, links = _alphabets(g, v, w)
+    if loops.size is None or links.size is None:
+        for i, p in enumerate(iter_irreducible_pointed(g, v, w)):
+            if i == k:
+                return p
+    elif links.size:
+        numeral, link = divmod(k, links.size)
+        digits: list[Edge] = []  # least significant first
+        while numeral and loops.size:
+            numeral, d = divmod(numeral - 1, loops.size)
+            digits.append(loops.edge_at(d))
+        if not numeral:
+            return Path(v, tuple(reversed(digits)) + (links.edge_at(link),))
     raise ValueError(f"only {irreducible_pointed_count(g, v, w)} irreducible pointed paths {v} -> {w}, rank {k} requested")
 
 
@@ -117,19 +163,21 @@ def irreducible_pointed_rank(g: Graph, block: Path) -> ExtNat:
     if not block.edges:
         raise ValueError("a vertex path has no canonical rank")
     v = block.base
-    w = g.path_range(block)
-    loops = _loop_bundles(g, v)
-    links = _link_bundles(g, v, w)
+    loops, links = _alphabets(g, v, g.path_range(block))
+    if loops.size is not None and links.size is not None:
+        numeral = 0
+        for e in block.edges[:-1]:
+            numeral = numeral * loops.size + loops.position(e) + 1
+        return ExtNat(numeral * links.size + links.position(block.edges[-1]))
     j = len(block.edges) - 1
-    loop_size = _alphabet_size(loops)
-    link_size = _alphabet_size(links)
+    loop_size, link_size = loops.count, links.count
     rank = ExtNat(0)
     for i in range(j):
         rank = rank + loop_size**i * link_size
     lex = ExtNat(0)
     for t in range(j):
-        lex = lex + _edge_rank(loops, block.edges[t]) * loop_size ** (j - 1 - t)
-    return rank + lex * link_size + _edge_rank(links, block.edges[-1])
+        lex = lex + _edge_rank(loops.bundles, block.edges[t]) * loop_size ** (j - 1 - t)
+    return rank + lex * link_size + _edge_rank(links.bundles, block.edges[-1])
 
 
 def split_pointed_blocks(g: Graph, p: Path) -> list[Path] | None:

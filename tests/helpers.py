@@ -198,3 +198,52 @@ def oracle_attach_paths(functor, image: set[str], bounds, witnesses: list[str]) 
             ok = False
             witnesses.append(f"path {format_path(p)} into the attach image is not in the functor image")
     return ok
+
+
+# -- the enumerate-to-k unranking that the mixed-radix closed form replaced --
+
+
+def _oracle_letters(bundles):
+    """Concrete edges in (label, index) order; never ends past an infinite bundle."""
+    for b in bundles:
+        i = 0
+        while not b.mult.is_finite or i < b.mult.finite():
+            yield Edge(b.label, i)
+            i += 1
+
+
+def _oracle_words(bundles, length: int):
+    if length == 0:
+        yield ()
+        return
+    for e in _oracle_letters(bundles):
+        for rest in _oracle_words(bundles, length - 1):
+            yield (e,) + rest
+
+
+def oracle_iter_pointed(g: Graph, v: str, w: str):
+    """Irreducible pointed paths v -> w in canonical order, layer by layer:
+    every word of j self-loops at v, lexicographically, then each link."""
+    loops = tuple(b for b in g.out_bundles(v) if b.is_self_loop)
+    links = tuple(b for b in g.out_bundles(v) if b.dst == w and not b.is_self_loop)
+    if not links:
+        return
+    j = 0
+    while True:
+        for word in _oracle_words(loops, j):
+            for e in _oracle_letters(links):
+                yield Path(v, word + (e,))
+        if not loops:
+            return
+        j += 1
+
+
+def oracle_pointed_at(g: Graph, v: str, w: str, k: int) -> Path:
+    """The k-th irreducible pointed path, found by enumerating the k before it."""
+    if k < 0:
+        raise ValueError("rank must be nonnegative")
+    count = 0
+    for count, p in enumerate(oracle_iter_pointed(g, v, w), start=1):
+        if count - 1 == k:
+            return p
+    raise ValueError(f"only {count} irreducible pointed paths {v} -> {w}, rank {k} requested")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from graphalg.cli import main
 from graphalg.io import certificate_from_json, parse_graph_text, serialize_graph
 from graphalg.catalog import catalog_get
@@ -29,6 +31,20 @@ class TestCatalogCommands:
     def test_show_missing_key(self, capsys):
         code, _, err = run(capsys, "catalog", "show")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("verify-pullback", "--catalog", "rnm:2", "--f2", "r0"), "n,m,*weights"),
+            (("catalog", "show", "toeplitz:3"), "no parameters"),
+            (("verify-pullback", "--catalog", "ball:1,2,3", "--f2", "0"), "parameters n,"),
+            (("export-dot", "--catalog", "rnm"), "n,m,*weights"),
+        ],
+    )
+    def test_wrong_parameter_count_is_usage_error(self, capsys, argv, expected):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and expected in err
+        assert "Traceback" not in err
 
 
 class TestVerifyPullback:

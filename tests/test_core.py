@@ -105,6 +105,25 @@ class TestClassify:
             classify_vertex(catalog_get("circle"), "nope")
 
 
+class TestValidEdge:
+    g = make_graph("g", ["v", "w"], [("a", "v", "w", 2), ("z", "w", "v", "inf")])
+
+    def test_negative_index(self):
+        assert not self.g.is_valid_edge(Edge("a", -1))
+        assert not self.g.is_valid_edge(Edge("z", -1))
+
+    def test_index_below_and_at_multiplicity(self):
+        assert self.g.is_valid_edge(Edge("a", 1))
+        assert not self.g.is_valid_edge(Edge("a", 2))
+
+    def test_infinite_bundle_has_every_index(self):
+        assert self.g.is_valid_edge(Edge("z", 0))
+        assert self.g.is_valid_edge(Edge("z", 10**12))
+
+    def test_unknown_bundle(self):
+        assert not self.g.is_valid_edge(Edge("nope", 0))
+
+
 class TestEnumerate:
     def test_circle_loop_powers(self):
         g = catalog_get("circle")
