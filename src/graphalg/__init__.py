@@ -78,7 +78,6 @@ from .resolution import (
     PullbackCertificate,
     ResolveError,
     Resolution,
-    certificate_kernel_preimage,
     resolve,
     verify_pullback,
 )

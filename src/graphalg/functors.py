@@ -19,14 +19,24 @@ a path into blocks "(self-loops)* non-self-loop" and inverts the enumeration
 blockwise; it succeeds exactly on the zero-length and pointed paths of finite
 block rank.  `round_trips` memoises "decodes and evaluates back" per path, so
 every check that needs a preimage shares one decode per distinct path.
+
+Condition 1 of `check_functor_conditions` (f(p) <= f(q) implies p <= q) is
+local.  If the vertex map is injective and, at each source vertex, the
+out-edge images are valid non-empty target paths with the right endpoints
+that form a prefix code, then induction on the common prefix gives the
+condition for source paths of every length whose edge indices are at most
+max_index.  Sorted, comparable codewords are adjacent, so the test costs a
+sort per vertex (Sardinas-Patterson 1953; Berstel-Perrin-Reutenauer, *Codes
+and Automata*, 2010, ch. 2).  When the test fails, the bounded scan over
+source paths decides and writes the witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .core import Edge, Graph, Path, concat, format_path
+from .core import Edge, Graph, Path, Prolongation, all_paths, concat, format_path, prolongation_compare
 from .pointed import (
     irreducible_pointed_at,
     irreducible_pointed_rank,
@@ -246,6 +256,28 @@ class GraphFunctor:
 
     # -- validation ----------------------------------------------------------------
 
+    def sampled_edge_images(self, max_index: int) -> Iterator[tuple[Edge, Path | None, list[str]]]:
+        """(edge, image, problems) for every source edge of index <= max_index,
+        in bundle order.  The problems are an image that fails to evaluate or
+        is not a valid target path (image is then None), wrong endpoints, and
+        a vertex path as image."""
+        for b in self.source.bundles:
+            for e in self.source.bundle_edges(b, max_index):
+                try:
+                    image = self.eval_edge(e)
+                except ValueError as err:
+                    yield e, None, [f"edge {format_edge_error(e)}: {err}"]
+                    continue
+                if not self.target.is_valid_path(image):
+                    yield e, None, [f"image of {format_edge_error(e)} is not a valid target path"]
+                    continue
+                problems = []
+                if image.base != self.vertex_image(b.src) or self.target.path_range(image) != self.vertex_image(b.dst):
+                    problems.append(f"image of {format_edge_error(e)} has wrong endpoints")
+                if not image.edges:
+                    problems.append(f"image of {format_edge_error(e)} is a vertex path")
+                yield e, image, problems
+
     def validate(self, max_index: int = 4) -> list[str]:
         """Functoriality-on-generators and injectivity violations, sampling
         infinite bundles up to max_index."""
@@ -259,23 +291,13 @@ class GraphFunctor:
         if problems:
             return problems
         seen: dict[Path, Edge] = {}
-        for b in self.source.bundles:
-            for e in self.source.bundle_edges(b, max_index):
-                try:
-                    image = self.eval_edge(e)
-                except ValueError as err:
-                    problems.append(f"edge {format_edge_error(e)}: {err}")
-                    continue
-                if not self.target.is_valid_path(image):
-                    problems.append(f"image of {format_edge_error(e)} is not a valid target path")
-                    continue
-                if image.base != self.vertex_image(b.src) or self.target.path_range(image) != self.vertex_image(b.dst):
-                    problems.append(f"image of {format_edge_error(e)} has wrong endpoints")
-                if not image.edges:
-                    problems.append(f"image of {format_edge_error(e)} is a vertex path")
-                if image in seen:
-                    problems.append(f"edges {format_edge_error(seen[image])} and {format_edge_error(e)} share the image {format_path(image)}")
-                seen[image] = e
+        for e, image, edge_problems in self.sampled_edge_images(max_index):
+            problems += edge_problems
+            if image is None:
+                continue
+            if image in seen:
+                problems.append(f"edges {format_edge_error(seen[image])} and {format_edge_error(e)} share the image {format_path(image)}")
+            seen[image] = e
         return problems
 
 
@@ -295,9 +317,12 @@ def identity_functor(g: Graph) -> GraphFunctor:
 class FunctorConditionReport:
     """Outcome of the two homomorphism-inducing conditions.
 
-    Condition 1 (prolongation compatibility) is verified over all bounded
-    source path pairs; condition 2 (out-edge bijection at finitely-emitting
-    vertices) is exact.
+    Condition 1 (prolongation compatibility) is decided exactly by the local
+    prefix-code test of the module docstring, for source paths of every
+    length whose edge indices are at most max_index; the bounded scan over
+    source path pairs runs only when that test fails, and supplies the
+    verdict and its witnesses.  Condition 2 (out-edge bijection at
+    finitely-emitting vertices) is exact.
     """
 
     cond1_ok: bool
@@ -305,22 +330,41 @@ class FunctorConditionReport:
     failures: tuple[str, ...] = ()
 
 
-def check_functor_conditions(f: GraphFunctor, *, max_len: int, max_index: int) -> FunctorConditionReport:
-    from .core import Prolongation, all_paths, prolongation_compare
+def _prefix_code_at_every_vertex(f: GraphFunctor, max_len: int, max_index: int) -> bool:
+    """Whether the local test of the module docstring passes, in which case
+    the bounded scan of condition 1 finds no failure and does not raise.
+    Negative bounds, and max_len 0 where the scan evaluates no edge, are
+    left to the scan."""
+    source = f.source
+    images = {f.vertex_map.get(v) for v in source.vertices}
+    if max_len < 1 or max_index < 0 or None in images or len(images) < len(source.vertices):
+        return False
+    if not all(source.has_vertex(b.src) and source.has_vertex(b.dst) for b in source.bundles):
+        return False
+    codes: dict[str, list[tuple]] = {v: [] for v in source.vertices}
+    for e, image, problems in f.sampled_edge_images(max_index):
+        if problems:
+            return False
+        codes[source.edge_src(e)].append(tuple((x.bundle, x.index) for x in image.edges))
+    for words in codes.values():
+        words.sort()
+        if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
+            return False
+    return True
 
+
+def _condition_1_scan(f: GraphFunctor, max_len: int, max_index: int) -> list[str]:
+    """Condition 1's failures over every bounded source path."""
     failures: list[str] = []
-
-    # condition 1: walk every bounded source path's image and test all of its
+    # walk every bounded source path's image and test all of its
     # image-prefixes that are themselves images; equivalent to the all-pairs
     # scan because prefixes of an image enumerate exactly the comparable pairs.
     image_of: dict[Path, Path] = {}
-    cond1_ok = True
     source_paths = all_paths(f.source, max_len=max_len, max_index=max_index)
     images: list[tuple[Path, Path]] = []
     for q in source_paths:
         img = f.eval_path(q)
         if img in image_of and image_of[img] != q:
-            cond1_ok = False
             failures.append(f"cond1: {format_path(image_of[img])} and {format_path(q)} share the image {format_path(img)}")
             continue
         image_of[img] = q
@@ -333,10 +377,15 @@ def check_functor_conditions(f: GraphFunctor, *, max_len: int, max_index: int) -
                 continue
             rel = prolongation_compare(other, q)
             if rel not in (Prolongation.EQUAL, Prolongation.A_PREFIX_OF_B):
-                cond1_ok = False
                 failures.append(
                     f"cond1: f({format_path(other)}) precedes f({format_path(q)}) but {format_path(other)} does not precede {format_path(q)}"
                 )
+    return failures
+
+
+def check_functor_conditions(f: GraphFunctor, *, max_len: int, max_index: int) -> FunctorConditionReport:
+    failures = [] if _prefix_code_at_every_vertex(f, max_len, max_index) else _condition_1_scan(f, max_len, max_index)
+    cond1_ok = not failures
 
     # condition 2, exact per regular source vertex
     cond2_ok = True

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    AlgebraElement,
+from .algebra import (  # noqa: F401  (the traced benchmark run wraps resolution.apply_hom)
     InducedHom,
-    Monomial,
     QuotientHom,
     apply_hom,
-    kernel_preimage,
     square_commutes,
 )
 from .core import (
@@ -298,12 +295,3 @@ def verify_pullback(e2: Graph, f2_vertices, bounds: Bounds = DEFAULT_BOUNDS) -> 
         degenerate=degenerate,
     )
 
-
-def certificate_kernel_preimage(cert: PullbackCertificate, m: Monomial) -> AlgebraElement:
-    """Explicit preimage of a kernel monomial, re-checked by evaluation."""
-    pre = kernel_preimage(cert.functor, cert.f2_vertices, m)
-    image = apply_hom(InducedHom(cert.functor), pre)
-    expected = AlgebraElement.monomial(cert.e2, m.alpha, m.beta)
-    if image != expected:
-        raise AssertionError(f"preimage of {format_path(m.alpha)}|{format_path(m.beta)} does not re-evaluate to it")
-    return pre

@@ -17,12 +17,15 @@ from graphalg.core import (
     ExtNat,
     Graph,
     Path,
+    Prolongation,
     all_paths,
     enumerate_paths,
     format_path,
     is_pointed,
     make_graph,
+    prolongation_compare,
 )
+from graphalg.functors import format_edge_error
 
 
 def prefix_oracle(a: Path, b: Path) -> bool:
@@ -247,3 +250,58 @@ def oracle_pointed_at(g: Graph, v: str, w: str, k: int) -> Path:
         if count - 1 == k:
             return p
     raise ValueError(f"only {count} irreducible pointed paths {v} -> {w}, rank {k} requested")
+
+
+# -- the bounded scan that decided condition 1 before the local prefix-code test --
+
+
+def oracle_functor_conditions(f, *, max_len: int, max_index: int) -> tuple[bool, bool, tuple[str, ...]]:
+    """(cond1_ok, cond2_ok, failures), condition 1 from every bounded source
+    path's image and its image-prefixes, condition 2 per regular vertex."""
+    failures: list[str] = []
+    image_of: dict[Path, Path] = {}
+    cond1_ok = True
+    images: list[tuple[Path, Path]] = []
+    for q in all_paths(f.source, max_len=max_len, max_index=max_index):
+        img = f.eval_path(q)
+        if img in image_of and image_of[img] != q:
+            cond1_ok = False
+            failures.append(f"cond1: {format_path(image_of[img])} and {format_path(q)} share the image {format_path(img)}")
+            continue
+        image_of[img] = q
+        images.append((q, img))
+    for q, img in images:
+        for cut in range(len(img.edges) + 1):
+            other = image_of.get(Path(img.base, img.edges[:cut]))
+            if other is None:
+                continue
+            if prolongation_compare(other, q) not in (Prolongation.EQUAL, Prolongation.A_PREFIX_OF_B):
+                cond1_ok = False
+                failures.append(
+                    f"cond1: f({format_path(other)}) precedes f({format_path(q)}) but {format_path(other)} does not precede {format_path(q)}"
+                )
+
+    cond2_ok = True
+    for v in f.source.vertices:
+        deg = f.source.out_degree(v)
+        if not (deg.is_finite and deg > 0):
+            continue
+        fv = f.vertex_image(v)
+        if not f.target.out_degree(fv).is_finite:
+            cond2_ok = False
+            failures.append(f"cond2: {v} emits finitely many edges but its image {fv} emits infinitely many")
+            continue
+        image_edges = []
+        for e in (Edge(b.label, i) for b in f.source.out_bundles(v) for i in range(b.mult.finite())):
+            img = f.eval_edge(e)
+            if len(img.edges) != 1:
+                cond2_ok = False
+                failures.append(f"cond2: image of {format_edge_error(e)} at regular vertex {v} is not an edge")
+                break
+            image_edges.append(img.edges[0])
+        else:
+            target_edges = [Edge(b.label, i) for b in f.target.out_bundles(fv) for i in range(b.mult.finite())]
+            if len(set(image_edges)) != len(image_edges) or set(image_edges) != set(target_edges):
+                cond2_ok = False
+                failures.append(f"cond2: out-edges of {v} do not biject onto out-edges of {fv}")
+    return cond1_ok, cond2_ok, tuple(failures)
