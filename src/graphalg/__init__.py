@@ -48,7 +48,6 @@ from .pointed import (
     irreducible_pointed_at,
     irreducible_pointed_count,
     irreducible_pointed_rank,
-    iter_irreducible_pointed,
 )
 from .functors import (
     CanonicalRule,

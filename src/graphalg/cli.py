@@ -239,9 +239,10 @@ def _cmd_verify_extension(args) -> int:
         cert = verify_extension(base, h, attach, _bounds(args))
     except ValueError as err:
         raise InputError(str(err)) from err
-    kernel_note = ""
+    kernel_ok, kernel_note = True, ""
     if cert.glued1 is not None and args.kernel_check:
         report = kernel_descriptor_check(cert)
+        kernel_ok = report.ok
         kernel_note = f"\nkernel descriptor: {'ok' if report.ok else 'FAIL'} over {report.checked} monomials"
     if args.json:
         print(certificate_to_json(cert), end="")
@@ -253,7 +254,7 @@ def _cmd_verify_extension(args) -> int:
         print("verified" if cert.verified else "NOT verified")
     if args.out:
         FilePath(args.out).write_text(certificate_to_json(cert), encoding="utf-8")
-    return OK if cert.verified else NEGATIVE
+    return OK if cert.verified and kernel_ok else NEGATIVE
 
 
 def _cmd_algebra(args) -> int:

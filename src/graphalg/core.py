@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 @total_ordering
 class ExtNat:
-    """A nonnegative integer or infinity, with +, *, ** and a total order."""
+    """A nonnegative integer or infinity, with + and a total order."""
 
     __slots__ = ("_value",)
 
@@ -58,28 +58,6 @@ class ExtNat:
         return ExtNat(self._value + other._value)
 
     __radd__ = __add__
-
-    def __mul__(self, other):
-        other = _as_extnat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # counting convention: 0 * inf = 0
-        if self._value == 0 or other._value == 0:
-            return ExtNat(0)
-        if self._value is None or other._value is None:
-            return INF
-        return ExtNat(self._value * other._value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        if exponent == 0:
-            return ExtNat(1)
-        if self._value is None:
-            return INF
-        return ExtNat(self._value**exponent)
 
     def __eq__(self, other):
         other = _as_extnat(other)
@@ -180,7 +158,7 @@ class Violation:
 class Graph:
     """Immutable presentation of a countable directed multigraph."""
 
-    __slots__ = ("name", "vertices", "bundles", "_vertex_set", "_by_label", "_out", "_hash")
+    __slots__ = ("name", "vertices", "bundles", "derived", "_vertex_set", "_by_label", "_out", "_hash")
 
     def __init__(self, name: str, vertices: Iterable[str], bundles: Iterable[Bundle]):
         self.name = str(name)
@@ -196,6 +174,8 @@ class Graph:
         self._by_label = by_label
         self._out = {v: tuple(sorted(bs, key=lambda b: b.label)) for v, bs in out.items()}
         self._hash = hash((self.name, self.vertices, self.bundles))
+        # data other modules compute from the graph once; not part of equality or hashing
+        self.derived: dict = {}
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

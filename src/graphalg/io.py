@@ -214,9 +214,13 @@ def _key(obj: Mapping, path: str, kind: type):
 def _graph(obj: Mapping, path: str) -> Graph:
     value = _key(obj, path, Mapping)
     try:
-        return graph_from_obj(value)
+        g = graph_from_obj(value)
+        problems = "; ".join(_format_violation(p) for p in validate_graph(g))
+        if problems:
+            raise ValueError(problems)
     except (KeyError, TypeError, AttributeError, ValueError) as err:
         raise ValueError(f"certificate key {path!r} is malformed: {err}") from err
+    return g
 
 
 def _bounds_from_obj(obj: Mapping) -> Bounds:

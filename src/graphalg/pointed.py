@@ -7,87 +7,73 @@ a self-loop.  An irreducible pointed path from v to w therefore has the shape
     (self-loop at v)^j . (non-self-loop edge v -> w)
 
 The canonical enumeration orders these by (length, lexicographic on
-(label, index)); ranks live in the extended naturals because layers may be
-infinite, in which case later layers are past every finite position.
+(label, index)).  Ranks are mixed-radix numerals (Knuth, TAOCP 4A, 7.2.1):
+the loop prefix read as a bijective base-|loops| numeral, whose digits are
+the loop positions plus one, times |links|, plus the position of the link.
+That is the |links|.(1 + |loops| + ... + |loops|^(j-1)) paths of the layers
+before layer j plus the lexicographic position inside it, and unranking
+reads the digits back off with divmod.
 
-When both alphabets are finite, ranks are mixed-radix numerals (Knuth,
-TAOCP 4A, 7.2.1).  Layer j holds |links|.|loops|^j paths, so the layers
-before it hold |links|.(1 + |loops| + ... + |loops|^(j-1)) of them; adding
-the lexicographic position of the loop prefix, a base-|loops| numeral of j
-digits, gives the bijective base-|loops| numeral whose digits are the loop
-positions plus one.  A rank is that numeral times |links| plus the position
-of the link, and unranking reads the digits back off with divmod.  Only
-infinite alphabets fall back to enumeration and extended-natural sums.
+An infinite alphabet is radix infinity, with divmod(x, inf) = (0, x), and an
+edge after an infinite bundle has no finite position: such ranks are `INF`.
+So an infinite link alphabet leaves only layer 0 at finite ranks, and an
+infinite loop alphabet only layers 0 and 1, as the enumeration lists them.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from typing import Iterator
 
 from .core import INF, Bundle, Edge, ExtNat, Graph, Path
 
 
 class _Alphabet:
-    """Edges of some bundles in (label, index) order.  `count` is their
-    number; when it is finite, `size` holds it as an int and `edge_at` and
-    `position` convert between edges and int positions."""
+    """Edges of some bundles in (label, index) order.  `size` is their number,
+    None when infinite; `edge_at` and `position` convert between edges and
+    int positions."""
 
-    __slots__ = ("bundles", "count", "size", "_mults")
+    __slots__ = ("bundles", "size", "_mults", "_offsets")
 
     def __init__(self, bundles: tuple[Bundle, ...]):
         self.bundles = bundles
-        self.count = sum((b.mult for b in bundles), ExtNat(0))
-        self.size = self.count.finite() if self.count.is_finite else None
-        self._mults = tuple(b.mult.finite() for b in bundles) if self.size is not None else ()
+        self._mults = tuple(b.mult.finite() if b.mult.is_finite else None for b in bundles)
+        self._offsets: dict[str, int | None] = {}
+        at: int | None = 0
+        for b, n in zip(bundles, self._mults):
+            self._offsets[b.label] = at
+            at = None if at is None or n is None else at + n
+        self.size = at
 
     def edge_at(self, pos: int) -> Edge:
+        """The edge at position pos, which stops inside the first infinite bundle."""
         for b, n in zip(self.bundles, self._mults):
-            if pos < n:
+            if n is None or pos < n:
                 return Edge(b.label, pos)
             pos -= n
         raise ValueError(f"alphabet has only {self.size} edges")
 
-    def position(self, e: Edge) -> int:
-        at = 0
-        for b, n in zip(self.bundles, self._mults):
-            if b.label == e.bundle:
-                return at + e.index
-            at += n
-        raise ValueError(f"edge {e} not in alphabet")
+    def position(self, e: Edge) -> int | None:
+        """The position of e; None when an infinite bundle comes before it."""
+        if e.bundle not in self._offsets:
+            raise ValueError(f"edge {e} not in alphabet")
+        at = self._offsets[e.bundle]
+        return None if at is None else at + e.index
 
 
-@lru_cache(maxsize=256)
+def _divmod(x: int, radix: int | None) -> tuple[int, int]:
+    """divmod by a radix that may be infinite (None): divmod(x, inf) = (0, x)."""
+    return (0, x) if radix is None else divmod(x, radix)
+
+
 def _alphabets(g: Graph, v: str, w: str) -> tuple[_Alphabet, _Alphabet]:
-    """The loop alphabet at v and the link alphabet v -> w; memoised per
-    (graph, v, w) in a bounded cache."""
-    out = g.out_bundles(v)
-    loops = tuple(b for b in out if b.is_self_loop)
-    links = tuple(b for b in out if b.dst == w and not b.is_self_loop)
-    return _Alphabet(loops), _Alphabet(links)
-
-
-def _iter_alphabet(bundles: tuple[Bundle, ...]) -> Iterator[Edge]:
-    """Concrete edges in (label, index) order; never ends past an infinite bundle."""
-    for b in bundles:
-        if b.mult.is_finite:
-            for i in range(b.mult.finite()):
-                yield Edge(b.label, i)
-        else:
-            i = 0
-            while True:
-                yield Edge(b.label, i)
-                i += 1
-
-
-def _edge_rank(bundles: tuple[Bundle, ...], e: Edge) -> ExtNat:
-    """Position of e in the (label, index)-ordered alphabet."""
-    acc = ExtNat(0)
-    for b in bundles:
-        if b.label == e.bundle:
-            return acc + e.index
-        acc = acc + b.mult
-    raise ValueError(f"edge {e} not in alphabet")
+    """The loop alphabet at v and the link alphabet v -> w, built once per
+    graph into its derived data."""
+    key = ("pointed alphabets", v, w)
+    found = g.derived.get(key)
+    if found is None:
+        out = g.out_bundles(v)
+        loops = tuple(b for b in out if b.is_self_loop)
+        links = tuple(b for b in out if b.dst == w and not b.is_self_loop)
+        found = g.derived[key] = (_Alphabet(loops), _Alphabet(links))
+    return found
 
 
 def irreducible_pointed_count(g: Graph, v: str, w: str) -> ExtNat:
@@ -102,39 +88,9 @@ def irreducible_pointed_count(g: Graph, v: str, w: str) -> ExtNat:
     if v == w:
         return ExtNat(0)
     loops, links = _alphabets(g, v, w)
-    if links.count == 0:
-        return ExtNat(0)
-    if loops.count == 0:
-        return links.count
+    if links.size == 0 or (loops.size == 0 and links.size is not None):
+        return ExtNat(links.size)
     return INF
-
-
-def _lex_sequences(bundles: tuple[Bundle, ...], length: int) -> Iterator[tuple[Edge, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for e in _iter_alphabet(bundles):
-        for rest in _lex_sequences(bundles, length - 1):
-            yield (e,) + rest
-
-
-def iter_irreducible_pointed(g: Graph, v: str, w: str) -> Iterator[Path]:
-    """Irreducible pointed paths v -> w in canonical order.
-
-    With infinite bundles involved this yields exactly the paths of finite
-    canonical rank, in rank order.
-    """
-    loops, links = (a.bundles for a in _alphabets(g, v, w))
-    if not links:
-        return
-    prefix_len = 0
-    while True:
-        for seq in _lex_sequences(loops, prefix_len):
-            for e in _iter_alphabet(links):
-                yield Path(v, seq + (e,))
-        if not loops:
-            return
-        prefix_len += 1
 
 
 def irreducible_pointed_at(g: Graph, v: str, w: str, k: int) -> Path:
@@ -142,15 +98,11 @@ def irreducible_pointed_at(g: Graph, v: str, w: str, k: int) -> Path:
     if k < 0:
         raise ValueError("rank must be nonnegative")
     loops, links = _alphabets(g, v, w)
-    if loops.size is None or links.size is None:
-        for i, p in enumerate(iter_irreducible_pointed(g, v, w)):
-            if i == k:
-                return p
-    elif links.size:
-        numeral, link = divmod(k, links.size)
+    if links.size != 0:
+        numeral, link = _divmod(k, links.size)
         digits: list[Edge] = []  # least significant first
-        while numeral and loops.size:
-            numeral, d = divmod(numeral - 1, loops.size)
+        while numeral and loops.size != 0:
+            numeral, d = _divmod(numeral - 1, loops.size)
             digits.append(loops.edge_at(d))
         if not numeral:
             return Path(v, tuple(reversed(digits)) + (links.edge_at(link),))
@@ -162,22 +114,15 @@ def irreducible_pointed_rank(g: Graph, block: Path) -> ExtNat:
     sits past every finite position (some earlier layer is infinite)."""
     if not block.edges:
         raise ValueError("a vertex path has no canonical rank")
-    v = block.base
-    loops, links = _alphabets(g, v, g.path_range(block))
-    if loops.size is not None and links.size is not None:
-        numeral = 0
-        for e in block.edges[:-1]:
-            numeral = numeral * loops.size + loops.position(e) + 1
-        return ExtNat(numeral * links.size + links.position(block.edges[-1]))
-    j = len(block.edges) - 1
-    loop_size, link_size = loops.count, links.count
-    rank = ExtNat(0)
-    for i in range(j):
-        rank = rank + loop_size**i * link_size
-    lex = ExtNat(0)
-    for t in range(j):
-        lex = lex + _edge_rank(loops.bundles, block.edges[t]) * loop_size ** (j - 1 - t)
-    return rank + lex * link_size + _edge_rank(links.bundles, block.edges[-1])
+    loops, links = _alphabets(g, block.base, g.path_range(block))
+    digits = [(loops.size, loops.position(e), 1) for e in block.edges[:-1]]
+    digits.append((links.size, links.position(block.edges[-1]), 0))
+    numeral = 0
+    for radix, pos, offset in digits:
+        if pos is None or (numeral and radix is None):
+            return INF  # past an infinite bundle or an infinite layer
+        numeral = (numeral * radix if numeral else 0) + pos + offset
+    return ExtNat(numeral)
 
 
 def split_pointed_blocks(g: Graph, p: Path) -> list[Path] | None:

@@ -7,10 +7,14 @@ paths and trying every split point.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 from graphalg.algebra import AlgebraElement, Monomial
+from graphalg.catalog import STANDARD_INSTANCES, parse_catalog_spec
 from graphalg.core import (
     INF,
     Edge,
@@ -26,6 +30,8 @@ from graphalg.core import (
     prolongation_compare,
 )
 from graphalg.functors import format_edge_error
+from graphalg.io import certificate_to_json
+from graphalg.resolution import Bounds, verify_pullback
 
 
 def prefix_oracle(a: Path, b: Path) -> bool:
@@ -305,3 +311,36 @@ def oracle_functor_conditions(f, *, max_len: int, max_index: int) -> tuple[bool,
                 cond2_ok = False
                 failures.append(f"cond2: out-edges of {v} do not biject onto out-edges of {fv}")
     return cond1_ok, cond2_ok, tuple(failures)
+
+
+# -- golden certificate digests ------------------------------------------------
+
+
+GOLDEN_FILE = pathlib.Path(__file__).parent / "golden" / "certificates.txt"
+GOLDEN_BOUNDS = (Bounds(6, 4), Bounds(3, 2), Bounds(0, 2), Bounds(1, 0))
+
+
+def _golden_cases():
+    """(graph spec or name, graph, F2 members, bounds): every catalog standard
+    instance over every vertex subset at each golden bound, plus the two
+    minimal infinite-alphabet graphs over {v}, whose order is not of type omega."""
+    for spec in STANDARD_INSTANCES:
+        g = parse_catalog_spec(spec)
+        subsets = [c for n in range(len(g.vertices) + 1) for c in itertools.combinations(g.vertices, n)]
+        for members, bounds in itertools.product(subsets, GOLDEN_BOUNDS):
+            yield spec, g, members, bounds
+    two_inf = make_graph("two_inf", ["v", "w"], [("a", "v", "w", "inf"), ("b", "v", "w", "inf")])
+    inf_loop = make_graph("inf_loop", ["v", "w"], [("l", "v", "v", "inf"), ("p", "v", "w", 1)])
+    for g in (two_inf, inf_loop):
+        yield g.name, g, ("v",), Bounds(4, 2)
+
+
+def golden_certificates() -> dict[str, tuple[str, str]]:
+    """Case key -> (verdict, sha256 of certificate_to_json) for every golden case."""
+    out = {}
+    for name, g, members, bounds in _golden_cases():
+        cert = verify_pullback(g, members, bounds)
+        key = f"{name} {{{','.join(members)}}} ({bounds.max_len},{bounds.max_index})"
+        digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
+        out[key] = ("verified" if cert.verified else "failed", digest)
+    return out

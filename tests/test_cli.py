@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from graphalg import cli
 from graphalg.cli import main
 from graphalg.io import certificate_from_json, parse_graph_text, serialize_graph
 from graphalg.catalog import catalog_get
+from graphalg.pushout import KernelDescriptorReport
 
 
 def run(capsys, *argv):
@@ -146,6 +148,37 @@ class TestPushoutAndExtension:
         assert "verified" in out and "kernel descriptor: ok" in out
         loaded = certificate_from_json((tmp_path / "ext.json").read_text())
         assert loaded.verified
+
+    def test_failing_kernel_descriptor_is_negative(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "kernel_descriptor_check", lambda cert: KernelDescriptorReport(False, 7, ("forced",)))
+        run(capsys, "verify-pullback", "--catalog", "rnm:2,2", "--f2", "r0", "--out", str(tmp_path / "b.json"))
+        code, out, _ = run(
+            capsys,
+            "verify-extension", "--base", str(tmp_path / "b.json"),
+            "--h", "h_chain:2", "--attach", "h1=r1,h2=r2", "--kernel-check",
+        )
+        assert code == 1
+        assert "kernel descriptor: FAIL over 7 monomials" in out
+
+    def _extend_edited_e2(self, capsys, tmp_path, edit):
+        path = tmp_path / "b.json"
+        run(capsys, "verify-pullback", "--catalog", "rnm:2,2", "--f2", "r0", "--out", str(path))
+        obj = json.loads(path.read_text())
+        (bundle,) = [b for b in obj["graphs"]["e2"]["bundles"] if b["label"] == "e1"]
+        edit(bundle)
+        path.write_text(json.dumps(obj))
+        return run(capsys, "verify-extension", "--base", str(path), "--h", "h_chain:2", "--attach", "h1=r1")
+
+    def test_zero_multiplicity_in_certificate_is_unusable_input(self, capsys, tmp_path):
+        code, _, err = self._extend_edited_e2(capsys, tmp_path, lambda b: b.update(mult=0))
+        assert code == 2
+        assert err.startswith("error: cannot load base certificate:")
+        assert "certificate key 'graphs.e2' is malformed: BadMultiplicity at e1 (0)" in err
+
+    def test_unknown_vertex_in_certificate_is_unusable_input(self, capsys, tmp_path):
+        code, _, err = self._extend_edited_e2(capsys, tmp_path, lambda b: b.update(src="ghost"))
+        assert code == 2
+        assert "certificate key 'graphs.e2' is malformed: UnknownVertex at e1 (src 'ghost')" in err
 
     def test_extension_certificate_as_base_is_unusable_input(self, capsys, tmp_path):
         base, ext = tmp_path / "b.json", tmp_path / "e.json"

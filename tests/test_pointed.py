@@ -65,29 +65,46 @@ def test_rank_and_unrank_agree_with_enumeration(g):
 @settings(max_examples=40, deadline=None)
 @given(pointed_graphs(), st.lists(st.integers(0, 2), max_size=6), st.integers(0, 2))
 def test_unrank_inverts_rank_on_finite_alphabets(g, digits, last):
+    """Also on infinite alphabets, for every block of finite rank."""
     loops, links = _alphabet(g, "v", "w")
-    if not links or any(not b.mult.is_finite for b in loops + links):
+    if not links:
         return
 
     def letter(bundles, d):
         b = bundles[d % len(bundles)]
-        return Edge(b.label, d % b.mult.finite())
+        return Edge(b.label, d % b.mult.finite() if b.mult.is_finite else d)
 
     word = tuple(letter(loops, d) for d in digits) if loops else ()
     block = Path("v", word + (letter(links, last),))
-    assert irreducible_pointed_at(g, "v", "w", irreducible_pointed_rank(g, block).finite()) == block
+    rank = irreducible_pointed_rank(g, block)
+    if rank.is_finite:
+        assert irreducible_pointed_at(g, "v", "w", rank.finite()) == block
+    else:
+        assert any(not b.mult.is_finite for b in loops + links)
 
 
 def test_closed_form_does_not_enumerate(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated irreducible pointed paths")
 
-    monkeypatch.setattr(pointed, "iter_irreducible_pointed", refuse)
-    g = catalog_get("rnm", 3, 3)
+    monkeypatch.setattr(pointed, "iter_irreducible_pointed", refuse, raising=False)
+    inf_link_first = make_graph("g", ["v", "w"], [("a", "v", "w", "inf"), ("b", "v", "w", 2)])
+    inf_loop = make_graph("g", ["v", "w"], [("l", "v", "v", "inf"), ("p", "v", "w", 1)])
+    l, p = Edge("l", 0), Edge("p", 0)
+    shapes = [
+        (catalog_get("rnm", 3, 3), "r0", "r1", None),
+        # one infinite bundle and no loops: no block lies past it
+        (catalog_get("cpn", 2), "0", "1", None),
+        (inf_link_first, "v", "w", Path("v", (Edge("b", 0),))),
+        (inf_loop, "v", "w", Path("v", (l, l, p))),
+    ]
     k = 10**12
-    p = irreducible_pointed_at(g, "r0", "r1", k)
-    assert g.is_valid_path(p) and g.path_range(p) == "r1"
-    assert irreducible_pointed_rank(g, p) == k
+    for g, v, w, past in shapes:
+        path = irreducible_pointed_at(g, v, w, k)
+        assert g.is_valid_path(path) and g.path_range(path) == w
+        assert irreducible_pointed_rank(g, path) == k
+        if past is not None:
+            assert g.is_valid_path(past) and irreducible_pointed_rank(g, past) == INF
 
 
 # -- certificates do not depend on how the functor unranks ---------------------------

@@ -23,10 +23,9 @@ from graphalg.pointed import (
     irreducible_pointed_at,
     irreducible_pointed_count,
     irreducible_pointed_rank,
-    iter_irreducible_pointed,
 )
 from graphalg.resolution import Bounds, ResolveError, resolve, verify_pullback
-from helpers import brute_irreducible_count, random_graph
+from helpers import brute_irreducible_count, oracle_iter_pointed, random_graph
 
 
 class TestIrreducibleCount:
@@ -78,7 +77,7 @@ class TestIrreducibleCount:
 class TestCanonicalEnumeration:
     def test_toeplitz_order(self):
         g = catalog_get("toeplitz")
-        first = list(itertools.islice(iter_irreducible_pointed(g, "w1", "w2"), 4))
+        first = [irreducible_pointed_at(g, "w1", "w2", k) for k in range(4)]
         assert [format_path(p) for p in first] == ["t2", "t1.t2", "t1.t1.t2", "t1.t1.t1.t2"]
 
     def test_rank_inverts_at(self):
@@ -103,7 +102,7 @@ class TestCanonicalEnumeration:
             for v in g.vertices:
                 blocks = []
                 for w in g.vertices:
-                    blocks.extend(itertools.islice(iter_irreducible_pointed(g, v, w), 8))
+                    blocks.extend(itertools.islice(oracle_iter_pointed(g, v, w), 8))
                 for a in blocks:
                     for b in blocks:
                         if a != b:
